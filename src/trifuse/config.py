@@ -137,7 +137,9 @@ def resolve(doc: dict | None = None, path: str | None = None, overrides: dict | 
 
     cv_doc = dict(merged.get("cv") or {})
     _check_keys(cv_doc, CV_KEYS, "cv")
-    k = int(overrides.get("k") or cv_doc.get("k", 5))
+    k = int(overrides["k"] if "k" in overrides else cv_doc.get("k", 5))
+    if k < 2:
+        raise ConfigError(f"k must be at least 2 folds, got {k}")
 
     out = merged.get("out") or os.environ.get("TRIFUSE_OUT")
     return RunConfig(

@@ -15,7 +15,8 @@ against huge allocations) and a ``factorized`` path where the weight tensor is
 a rank-R sum of per-position factor tensors ``[dim, R, O]`` combined by a
 mixing vector ``[R]``. ``reconstruct_full`` rebuilds the dense tensor from the
 factors so tests can assert the two paths agree. A symmetric PF layer stores
-one factor tensor and applies it at every polynomial position.
+one factor tensor, projects the concatenated vector through it once, and
+multiplies that projection by itself p times.
 """
 
 from __future__ import annotations
@@ -278,10 +279,11 @@ def fuse_polynomial(z1, z2, z3, params, spec: FusionSpec):
             t = _full_chain(t, zc, p - k + 1)
         return _maybe_squeeze(t, s1)
     if spec.symmetric:
-        factors = [params["factor"]] * p
+        # one shared projection, multiplied by itself p times; backward sums
+        # the p upstream gradients into it before one factor contraction
+        projs = [ad.contract(zc, params["factor"], [1], [0])] * p
     else:
-        factors = [params[f"factor{k}"] for k in range(1, p + 1)]
-    projs = [ad.contract(zc, f, [1], [0]) for f in factors]
+        projs = [ad.contract(zc, params[f"factor{k}"], [1], [0]) for k in range(1, p + 1)]
     return _maybe_squeeze(_mixdown(projs, params["mix"]), s1)
 
 

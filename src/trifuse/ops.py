@@ -143,11 +143,15 @@ def batchnorm_train(x, gamma, beta, state: BatchNormState, update_running: bool 
         raise ValueError("batchnorm train mode needs batch size >= 2")
     n = xv.shape[0] * xv.shape[2]
     mu = xv.mean(axis=(0, 2))
-    var = xv.var(axis=(0, 2))
+    # centred input serves the variance (the same sums np.var makes) and xhat
+    xhat = xv - mu[None, :, None]
+    out = np.multiply(xhat, xhat)
+    var = out.sum(axis=(0, 2)) / n
     ivar = 1.0 / np.sqrt(var + state.eps)
-    xhat = (xv - mu[None, :, None]) * ivar[None, :, None]
+    xhat *= ivar[None, :, None]
     gv, bv = value_of(gamma), value_of(beta)
-    out = gv[None, :, None] * xhat + bv[None, :, None]
+    np.multiply(xhat, gv[None, :, None], out=out)
+    out += bv[None, :, None]
 
     if update_running:
         m = state.momentum
@@ -162,15 +166,19 @@ def batchnorm_train(x, gamma, beta, state: BatchNormState, update_running: bool 
     vx, vg, vb = ad._lift(tape, x), ad._lift(tape, gamma), ad._lift(tape, beta)
 
     def backward_fn(g):
-        grad_beta = g.sum(axis=(0, 2)) if vb.requires_grad else None
-        grad_gamma = (g * xhat).sum(axis=(0, 2)) if vg.requires_grad else None
+        grad_beta = g.sum(axis=(0, 2))
+        gx = g * xhat
+        grad_gamma = gx.sum(axis=(0, 2))
         grad_x = None
         if vx.requires_grad:
-            dxhat = g * gv[None, :, None]
-            s1 = dxhat.sum(axis=(0, 2))[None, :, None]
-            s2 = (dxhat * xhat).sum(axis=(0, 2))[None, :, None]
-            grad_x = (ivar[None, :, None] / n) * (n * dxhat - s1 - xhat * s2)
-        return grad_x, grad_gamma, grad_beta
+            # (ivar/n) * (n*gamma*g - s1 - xhat*s2), s1 = gamma*grad_beta, s2 = gamma*grad_gamma
+            coef = gv * ivar / n
+            np.multiply(xhat, (coef * grad_gamma)[None, :, None], out=gx)
+            gx += (coef * grad_beta)[None, :, None]
+            grad_x = np.multiply(g, (n * coef)[None, :, None])
+            grad_x -= gx
+        return (grad_x, grad_gamma if vg.requires_grad else None,
+                grad_beta if vb.requires_grad else None)
 
     return tape.record("batchnorm", out, (vx, vg, vb), backward_fn)
 
@@ -181,9 +189,11 @@ def batchnorm_eval(x, gamma, beta, state: BatchNormState):
     single = xv.ndim == 2
     xb = xv[None] if single else xv
     ivar = 1.0 / np.sqrt(state.running_var + state.eps)
-    xhat = (xb - state.running_mean[None, :, None]) * ivar[None, :, None]
+    xhat = xb - state.running_mean[None, :, None]
+    xhat *= ivar[None, :, None]
     gv, bv = value_of(gamma), value_of(beta)
-    out = gv[None, :, None] * xhat + bv[None, :, None]
+    out = np.multiply(xhat, gv[None, :, None])
+    out += bv[None, :, None]
     if single:
         out = out[0]
 
@@ -204,14 +214,6 @@ def batchnorm_eval(x, gamma, beta, state: BatchNormState):
         return grad_x, grad_gamma, grad_beta
 
     return tape.record("batchnorm_eval", out, (vx, vg, vb), backward_fn)
-
-
-def batchnorm_forward(x, gamma, beta, state: BatchNormState, mode: str = "train", update_running: bool = True):
-    if mode == "train":
-        return batchnorm_train(x, gamma, beta, state, update_running=update_running)
-    if mode == "eval":
-        return batchnorm_eval(x, gamma, beta, state)
-    raise ValueError(f"unknown batchnorm mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ float64 (row-major, last index fastest). A scalar is an array of shape ``()``.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Sequence
 
@@ -104,7 +105,7 @@ def tensor_from_bytes(raw: bytes) -> np.ndarray:
         (d,) = struct.unpack_from(MAGIC_HEADER_DIM, raw, offset)
         shape.append(int(d))
         offset += 8
-    count = int(np.prod(shape)) if shape else 1
+    count = math.prod(shape)  # Python ints: dims whose product overflows int64 must fail the length check
     expected = offset + 8 * count
     if len(raw) != expected:
         raise ShapeError(f"tensor payload has {len(raw)} bytes, expected {expected} for shape {tuple(shape)}")

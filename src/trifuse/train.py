@@ -54,6 +54,8 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    # two work rows as long as the largest parameter, reused by every update
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)), init=False, repr=False, compare=False)
 
     @classmethod
     def for_config(cls, config: TrainConfig) -> "AdamState":
@@ -64,6 +66,9 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
     """One bias-corrected Adam update, in place on the parameter arrays."""
     state.step += 1
     t = state.step
+    need = max((p.size for p in params.values()), default=0)
+    if state.scratch.shape[1] < need:
+        state.scratch = np.empty((2, need))
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -74,13 +79,20 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         m, v = state.m[name], state.v[name]
+        a = state.scratch[0, :p.size].reshape(p.shape)
+        b = state.scratch[1, :p.size].reshape(p.shape)
+        # p -= lr * m_hat / (sqrt(v_hat) + eps), one ufunc at a time through the scratch rows
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=a)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(g, 1.0 - state.beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, 1.0 - state.beta1**t, out=a)
+        a *= state.lr
+        np.divide(v, 1.0 - state.beta2**t, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        p -= np.divide(a, b, out=a)
     return state
 
 

@@ -173,3 +173,11 @@ class TestUsageErrors:
 
     def test_missing_data(self, tmp_path):
         assert run("cv", "--model", "oxy", "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_fold_count_below_two(self, synth_manifest, tmp_path, capsys, k):
+        out = tmp_path / "x"
+        assert run("cv", "--data", str(synth_manifest), "--model", "oxy", "--profile", "desk",
+                   "--epochs", "1", "--k", k, "--out", str(out)) == 2
+        assert "k must be at least 2" in capsys.readouterr().err
+        assert not out.exists()

@@ -169,3 +169,9 @@ class TestLayoutAndSerialization:
             tc.tensor_from_bytes(raw[:-8])
         with pytest.raises(tc.ShapeError):
             tc.tensor_from_bytes(raw[:10])
+
+    def test_overflowing_dims_fail_length_check(self):
+        # 2**32 * 2**32 wraps to 0 in int64; the element count must not
+        raw = struct.pack("<I", 2) + struct.pack("<Q", 2**32) * 2
+        with pytest.raises(tc.ShapeError, match="expected"):
+            tc.tensor_from_bytes(raw)
