@@ -48,7 +48,7 @@ err = ad.grad_check(build, params, eps=1e-5)
 print(f"conv/batchnorm/pool chain: max relative gradient error {err:.2e}")
 
 # 3. a whole tiny fused classifier end to end
-spec = models.FusionSpec("PF", (12, 10, 10), 8, rank=4, order=3, symmetric=True)
+spec = {"kind": "PF", "output_dim": 8, "rank": 4, "order": 3, "symmetric": True}
 model = models.build_tiny_fused(spec, seed=2)
 inputs = models.tiny_inputs(rng, batch=2)
 labels = np.array([0, 1])

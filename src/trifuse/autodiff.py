@@ -62,13 +62,11 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._variables: list[Variable] = []
         self._next_id = 0
 
     def _new_variable(self, value, requires_grad: bool) -> Variable:
         v = Variable(value, self, requires_grad, self._next_id)
         self._next_id += 1
-        self._variables.append(v)
         return v
 
     def variable(self, value, requires_grad: bool = True) -> Variable:
@@ -85,10 +83,6 @@ class Tape:
         if needs:
             self.nodes.append(_Node(name, out, tuple(parents), backward_fn))
         return out
-
-    def zero_grads(self) -> None:
-        for v in self._variables:
-            v.grad = None
 
 
 def grad_of(v: Variable) -> np.ndarray:

@@ -9,13 +9,15 @@ verbatim in every report as the reproducibility fingerprint.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, models
 from .data import SegmentDataset, SynthSpec, load_manifest, synth_dataset
+from .fusion import FusionSpecError, MaterializeError
 from .train import TrainConfig
 
 
@@ -45,6 +47,12 @@ def _check_keys(doc: dict, allowed: set, where: str):
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
+
+
+def _positive_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{where} must be an integer >= 1, got {value!r}")
+    return value
 
 
 @dataclass
@@ -82,7 +90,12 @@ def _validate_model(model: dict, profile: str) -> dict:
         if fusion.get("kind") not in ("LF", "TF", "PF"):
             raise ConfigError("model.fusion.kind must be LF, TF or PF")
         fusion.setdefault("output_dim", PROFILE_DEFAULTS[profile]["output_dim"])
-        fusion.setdefault("input_dims", [1, 1, 1])  # fused builder substitutes extractor widths
+        try:
+            fusion_spec = models.make_fusion_spec(fusion, models.extractor_plans(profile))
+            if fusion_spec.path == "full":
+                fusion_spec.check_materializable()
+        except (FusionSpecError, MaterializeError) as exc:
+            raise ConfigError(f"model.fusion: {exc}") from None
         spec = {"type": "fused", "profile": profile, "fusion": fusion}
         if "l2_normalize" in model:
             spec["l2_normalize"] = bool(model["l2_normalize"])
@@ -134,6 +147,10 @@ def resolve(doc: dict | None = None, path: str | None = None, overrides: dict | 
         if key in overrides:
             train_doc[key] = overrides[key]
     train_cfg = TrainConfig(seed=int(merged.get("seed", 0)), **train_doc)
+    _positive_int(train_cfg.batch_size, "train.batch_size")
+    _positive_int(train_cfg.eval_batch, "train.eval_batch")
+    if not isinstance(train_cfg.lr, (int, float)) or not 0 < train_cfg.lr < math.inf:
+        raise ConfigError(f"train.lr must be a finite number > 0, got {train_cfg.lr!r}")
 
     cv_doc = dict(merged.get("cv") or {})
     _check_keys(cv_doc, CV_KEYS, "cv")
@@ -144,7 +161,7 @@ def resolve(doc: dict | None = None, path: str | None = None, overrides: dict | 
     out = merged.get("out") or os.environ.get("TRIFUSE_OUT")
     return RunConfig(
         task=str(merged.get("task", "run")), profile=profile,
-        seed=int(merged.get("seed", 0)), jobs=int(merged.get("jobs", 1)),
+        seed=int(merged.get("seed", 0)), jobs=_positive_int(merged.get("jobs", 1), "jobs"),
         k=k, out=out, data=data, model=model_spec, train=train_cfg,
     )
 

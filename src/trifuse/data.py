@@ -95,14 +95,6 @@ class SegmentDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def subset(self, idx) -> "SegmentDataset":
-        idx = np.asarray(idx)
-        return SegmentDataset(
-            self.eeg[idx], self.oxy[idx], self.deoxy[idx],
-            self.labels[idx], self.trial_ids[idx], self.offsets[idx], self.subjects[idx],
-            None if self.planted is None else self.planted[idx],
-        )
-
     def trials(self) -> list[tuple[int, str, int]]:
         """(trial_id, subject, label) per distinct trial, in id order."""
         seen: dict[int, tuple[int, str, int]] = {}

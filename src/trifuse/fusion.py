@@ -21,6 +21,7 @@ multiplies that projection by itself p times.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,13 @@ class FusionSpec:
             raise FusionSpecError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.path not in PATHS:
             raise FusionSpecError(f"path must be one of {PATHS}, got {self.path!r}")
+        for name in ("output_dim", "rank", "order"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise FusionSpecError(f"{name} must be an integer, got {value!r}")
+        for name in ("symmetric", "augment_one"):
+            if not isinstance(getattr(self, name), bool):
+                raise FusionSpecError(f"{name} must be true or false, got {getattr(self, name)!r}")
         self.input_dims = tuple(int(d) for d in self.input_dims)
         if len(self.input_dims) != 3 or min(self.input_dims) < 1:
             raise FusionSpecError(f"input_dims must be three positive lengths, got {self.input_dims}")
@@ -102,19 +110,6 @@ class FusionSpec:
             "path": self.path,
             "augment_one": self.augment_one,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FusionSpec":
-        return cls(
-            kind=d["kind"],
-            input_dims=tuple(d["input_dims"]),
-            output_dim=int(d["output_dim"]),
-            rank=int(d.get("rank", 16)),
-            order=int(d.get("order", 1)),
-            symmetric=bool(d.get("symmetric", False)),
-            path=d.get("path", "factorized"),
-            augment_one=bool(d.get("augment_one", False)),
-        )
 
 
 def param_count(spec: FusionSpec) -> int:

@@ -80,6 +80,16 @@ def feature_length(plan: dict) -> int:
     return plan["blocks"][-1]["out_channels"]
 
 
+def extractor_plans(profile: str = "full") -> dict:
+    return {m: extractor_plan(m, profile) for m in MODALITIES}
+
+
+def make_fusion_spec(fusion: dict, plans: dict) -> FusionSpec:
+    """The fusion layer that a hyperparameter dict (``kind``, ``output_dim``,
+    ``rank``, ...) describes on top of the given extractors."""
+    return FusionSpec(input_dims=tuple(feature_length(plans[m]) for m in MODALITIES), **fusion)
+
+
 # tiny clones for finite-difference checks: same block structure, shrunk
 # channels and time lengths (30 / 10), geometry adapted to stay feasible
 TINY_PLANS = {
@@ -106,6 +116,7 @@ class ModelGraph:
 
     def __init__(self, topology: dict, params: dict[str, np.ndarray], state: dict[str, BatchNormState]):
         self.topology = topology
+        self.fusion_spec = FusionSpec(**topology["fusion"]) if topology["fusion"] else None
         self.params = params
         self.state = state
         self.mode = "train"
@@ -154,26 +165,21 @@ class ModelGraph:
         return cls(topology, params, state)
 
     @classmethod
-    def fused(cls, fusion_spec: FusionSpec, profile: str = "full", seed: int = 0,
+    def fused(cls, fusion: dict, profile: str = "full", seed: int = 0,
               l2_normalize: bool | None = None, plans: dict | None = None) -> "ModelGraph":
         """Three extractors -> fusion layer -> L2 normalize -> Linear(O -> 2).
 
-        L2 normalization defaults on for TF and PF outputs; linear fusion
-        skips it unless explicitly enabled.
+        ``fusion`` holds the fusion hyperparameters; the input lengths come
+        from the extractors. L2 normalization defaults on for TF and PF
+        outputs; linear fusion skips it unless explicitly enabled.
         """
         rng = np.random.default_rng(seed)
         params: dict[str, np.ndarray] = {}
         state: dict[str, BatchNormState] = {}
-        plans = plans if plans is not None else {m: extractor_plan(m, profile) for m in MODALITIES}
+        plans = plans if plans is not None else extractor_plans(profile)
+        fusion_spec = make_fusion_spec(fusion, plans)
         for m in MODALITIES:
             cls._init_extractor(m, plans[m], rng, params, state)
-        dims = tuple(feature_length(plans[m]) for m in MODALITIES)
-        if tuple(fusion_spec.input_dims) != dims:
-            fusion_spec = FusionSpec(
-                kind=fusion_spec.kind, input_dims=dims, output_dim=fusion_spec.output_dim,
-                rank=fusion_spec.rank, order=fusion_spec.order, symmetric=fusion_spec.symmetric,
-                path=fusion_spec.path, augment_one=fusion_spec.augment_one,
-            )
         for pname, arr in init_fusion_params(fusion_spec, rng).items():
             params[f"fusion.{pname}"] = arr
         if l2_normalize is None:
@@ -233,9 +239,8 @@ class ModelGraph:
             h = ad.relu(ops.linear_forward(z, P["head1.w"], P["head1.b"]))
             return ops.linear_forward(h, P["head2.w"], P["head2.b"])
         z1, z2, z3 = self.features(inputs, P, update_running)
-        spec = FusionSpec.from_dict(self.topology["fusion"])
         fused_params = {k.split(".", 1)[1]: P[k] for k in P if k.startswith("fusion.")}
-        y = fuse(spec, fused_params, z1, z2, z3)
+        y = fuse(self.fusion_spec, fused_params, z1, z2, z3)
         if self.topology["l2_normalize"]:
             y = ops.l2_normalize(y)
         return ops.linear_forward(y, P["head.w"], P["head.b"])
@@ -275,10 +280,7 @@ def build_from_spec(spec: dict, seed: int = 0) -> ModelGraph:
     if kind == "single":
         return ModelGraph.single_modal(spec["modality"], profile=profile, seed=seed)
     if kind == "fused":
-        fdict = dict(spec["fusion"])
-        fdict.setdefault("input_dims", (1, 1, 1))  # builder overrides with extractor widths
-        fspec = FusionSpec.from_dict(fdict)
-        return ModelGraph.fused(fspec, profile=profile, seed=seed, l2_normalize=spec.get("l2_normalize"))
+        return ModelGraph.fused(spec["fusion"], profile=profile, seed=seed, l2_normalize=spec.get("l2_normalize"))
     raise ModelError(f"model spec type must be 'single' or 'fused', got {kind!r}")
 
 
@@ -286,8 +288,8 @@ def build_tiny_single(modality: str, seed: int = 0) -> ModelGraph:
     return ModelGraph.single_modal(modality, profile="full", seed=seed, plan=TINY_PLANS[modality])
 
 
-def build_tiny_fused(fusion_spec: FusionSpec, seed: int = 0, l2_normalize: bool | None = None) -> ModelGraph:
-    return ModelGraph.fused(fusion_spec, profile="full", seed=seed,
+def build_tiny_fused(fusion: dict, seed: int = 0, l2_normalize: bool | None = None) -> ModelGraph:
+    return ModelGraph.fused(fusion, profile="full", seed=seed,
                             l2_normalize=l2_normalize, plans=TINY_PLANS)
 
 

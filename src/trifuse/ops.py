@@ -21,18 +21,6 @@ class GeometryError(ValueError):
     """Convolution geometry produces an empty output."""
 
 
-@dataclass
-class Conv1dSpec:
-    in_channels: int
-    out_channels: int
-    filter: int
-    stride: int = 1
-    padding: int = 0
-
-    def out_length(self, length: int) -> int:
-        return conv_out_length(length, self.filter, self.stride, self.padding)
-
-
 def conv_out_length(length: int, filt: int, stride: int, padding: int) -> int:
     return (length + 2 * padding - filt) // stride + 1
 
@@ -101,14 +89,6 @@ def conv1d(x, w, bias, stride: int = 1, padding: int = 0, name: str = "conv1d"):
         return grad_x, grad_w, grad_bias
 
     return tape.record(name, out, (vx, vw, vb2), backward_fn)
-
-
-def conv1d_forward(x, spec: Conv1dSpec, weights, bias, name: str = "conv1d"):
-    """Spec-driven wrapper around :func:`conv1d`."""
-    wv = value_of(weights)
-    if wv.shape != (spec.out_channels, spec.in_channels, spec.filter):
-        raise ValueError(f"{name}: weight shape {wv.shape} does not match spec {spec}")
-    return conv1d(x, weights, bias, stride=spec.stride, padding=spec.padding, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +213,6 @@ def global_avgpool(x):
         return (np.repeat(g[..., None], t, axis=-1) / t,)
 
     return x.tape.record("global_avgpool", out, (x,), backward_fn)
-
-
-relu_forward = ad.relu
 
 
 def linear_forward(x, w, bias):

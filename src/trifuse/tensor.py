@@ -1,5 +1,5 @@
-"""Dense float64 tensor primitives: contraction, outer products, concatenation,
-and a little-endian binary file format.
+"""Dense float64 tensor primitives: pairwise contraction and a little-endian
+binary file format.
 
 Every array handled by this package is a C-contiguous ``numpy.ndarray`` of
 float64 (row-major, last index fastest). A scalar is an array of shape ``()``.
@@ -55,33 +55,6 @@ def contract(a: np.ndarray, b: np.ndarray, axes_a: Sequence[int], axes_b: Sequen
                 f"axis pair ({ax_a}, {ax_b}) has sizes {a.shape[ax_a]} != {b.shape[ax_b]}"
             )
     return np.tensordot(a, b, axes=(axes_a, axes_b))
-
-
-def outer(vs: Sequence[np.ndarray]) -> np.ndarray:
-    """Outer product of order-1 tensors; result order equals len(vs)."""
-    if len(vs) == 0:
-        raise ShapeError("outer() requires at least one vector")
-    arrs = []
-    for i, v in enumerate(vs):
-        v = as_tensor(v)
-        if v.ndim != 1 or v.size == 0:
-            raise ShapeError(f"outer() argument {i} must be a non-empty order-1 tensor, got shape {v.shape}")
-        arrs.append(v)
-    out = arrs[0]
-    for v in arrs[1:]:
-        out = np.multiply.outer(out, v)
-    return out
-
-
-def concat(vs: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate order-1 tensors into one order-1 tensor, in argument order."""
-    arrs = []
-    for i, v in enumerate(vs):
-        v = as_tensor(v)
-        if v.ndim != 1:
-            raise ShapeError(f"concat() argument {i} must be order-1, got shape {v.shape}")
-        arrs.append(v)
-    return np.concatenate(arrs) if arrs else np.zeros(0)
 
 
 def tensor_to_bytes(t: np.ndarray) -> bytes:

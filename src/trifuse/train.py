@@ -23,9 +23,9 @@ from .models import ModelGraph, build_from_spec
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int, value: float):
+    def __init__(self, epoch: int, value: float, what: str = "loss"):
         self.epoch = epoch
-        super().__init__(f"loss became non-finite ({value}) at epoch {epoch}")
+        super().__init__(f"{what} became non-finite ({value}) at epoch {epoch}")
 
 
 @dataclass
@@ -262,6 +262,9 @@ def train(model: ModelGraph, dataset: SegmentDataset, split, config: TrainConfig
             adam_step(model.params, grads, adam)
             epoch_loss += lval * len(batch)
         losses.append(epoch_loss / len(order))
+    for name, p in model.params.items():
+        if not np.all(np.isfinite(p)):
+            raise TrainingDiverged(config.epochs - 1, float(np.max(np.abs(p))), f"parameter {name!r}")
     model.set_mode("eval")
 
     if len(test_idx):

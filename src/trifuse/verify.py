@@ -17,6 +17,8 @@ from .fusion import FusionSpec, fuse, fuse_linear, fuse_polynomial, fuse_tensor,
 
 
 def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    if not (np.all(np.isfinite(got)) and np.all(np.isfinite(want))):
+        return float("inf")
     scale = max(float(np.max(np.abs(want))), 1e-30)
     return float(np.max(np.abs(got - want))) / scale
 
@@ -106,7 +108,7 @@ def check_reconstruction_pf() -> tuple[bool, str]:
     worst = 0.0
     for p in (1, 2, 3):
         for d in (3, 4, 5, 6):
-            dims = (1, 1, d - 2) if d > 2 else (1, 1, 1)
+            dims = (1, 1, d - 2)
             for rank in (1, 2, d, 2 * d):
                 for symmetric in (False, True):
                     spec = FusionSpec("PF", dims, 2, rank=rank, order=p,
@@ -188,17 +190,16 @@ def check_grad_models() -> tuple[bool, str]:
     x1, x2, x3 = models.tiny_inputs(rng, batch=2)
     for modality, x in zip(models.MODALITIES, (x1, x2, x3)):
         worst[modality] = _model_grad_err(models.build_tiny_single(modality, seed=1), x, labels)
-    feat_dims = (12, 10, 10)
     fused_cases = {
-        "LF": FusionSpec("LF", feat_dims, 8),
-        "TF-fact": FusionSpec("TF", feat_dims, 8, rank=4),
-        "TF-full": FusionSpec("TF", feat_dims, 4, path="full"),
-        "PF3-sym": FusionSpec("PF", feat_dims, 8, rank=4, order=3, symmetric=True),
-        "PF2": FusionSpec("PF", feat_dims, 6, rank=3, order=2),
-        "PF2-full": FusionSpec("PF", feat_dims, 3, order=2, path="full"),
+        "LF": {"kind": "LF", "output_dim": 8},
+        "TF-fact": {"kind": "TF", "output_dim": 8, "rank": 4},
+        "TF-full": {"kind": "TF", "output_dim": 4, "path": "full"},
+        "PF3-sym": {"kind": "PF", "output_dim": 8, "rank": 4, "order": 3, "symmetric": True},
+        "PF2": {"kind": "PF", "output_dim": 6, "rank": 3, "order": 2},
+        "PF2-full": {"kind": "PF", "output_dim": 3, "order": 2, "path": "full"},
     }
-    for name, spec in fused_cases.items():
-        model = models.build_tiny_fused(spec, seed=2)
+    for name, fusion in fused_cases.items():
+        model = models.build_tiny_fused(fusion, seed=2)
         worst[name] = _model_grad_err(model, (x1, x2, x3), labels)
     bad = {k: round(v, 6) for k, v in worst.items() if v >= 1e-4}
     if bad:
@@ -266,15 +267,23 @@ def check_shape_chains() -> tuple[bool, str]:
 # checkpoint verification
 
 def verify_checkpoint(indir) -> tuple[bool, str]:
-    """Digest-check a saved model; for factorized fused models also re-run the
+    """Digest-check a saved model and check that every parameter and batch-norm
+    running statistic is finite; for factorized fused models also re-run the
     factorized-vs-reconstructed forward agreement on random probes."""
     problems = models.checkpoint_digest_problems(indir)
     if problems:
         return False, "; ".join(problems)
     model = models.load_model(indir)
+    arrays = dict(model.params)
+    for name, st in model.state.items():
+        arrays[f"{name}.running_mean"] = st.running_mean
+        arrays[f"{name}.running_var"] = st.running_var
+    bad = [name for name, arr in arrays.items() if not np.all(np.isfinite(arr))]
+    if bad:
+        return False, f"non-finite values in {len(bad)} array(s), first {bad[0]}"
     if model.topology["type"] != "fused":
         return True, "digests ok (single-modal model, no fusion factors)"
-    spec = FusionSpec.from_dict(model.topology["fusion"])
+    spec = model.fusion_spec
     if spec.path != "factorized" or spec.kind == "LF":
         return True, "digests ok (no factorized fusion tensor to reconstruct)"
     from .fusion import MATERIALIZE_LIMIT

@@ -6,10 +6,30 @@ import os
 import numpy as np
 import pytest
 
-from trifuse import data
+from trifuse import data, models
 from trifuse.cli import main
 
 DESK_PF = ["--model", "pf", "--order", "2", "--rank", "4", "--profile", "desk"]
+
+# (flags, config document) pairs that must end in a usage error
+FAIL_CLOSED_PROBES = {
+    "rank-0": (["--model", "tf", "--rank", "0"], {}),
+    "order-0": (["--model", "pf", "--order", "0"], {}),
+    "output-dim-0": (["--model", "lf", "--output-dim", "0"], {}),
+    "symmetric-tf": (["--model", "tf", "--symmetric"], {}),
+    "tf-full-over-guard": (["--model", "tf", "--path", "full", "--profile", "full"], {}),
+    "batch-size-0": (["--model", "oxy", "--batch-size", "0"], {}),
+    "eval-batch-0": (["--model", "oxy"], {"train": {"eval_batch": 0}}),
+    "jobs-0": (["--model", "oxy", "--jobs", "0"], {}),
+    "lr-nan": (["--model", "oxy", "--lr", "nan"], {}),
+    "lr-inf": (["--model", "oxy", "--lr", "inf"], {}),
+    "lr-0": (["--model", "oxy", "--lr", "0"], {}),
+    "output-dim-float": ([], {"model": {"type": "fused", "fusion": {"kind": "LF", "output_dim": 1.5}}}),
+    "rank-string": ([], {"model": {"type": "fused", "fusion": {"kind": "TF", "rank": "16"}}}),
+    "order-float": ([], {"model": {"type": "fused", "fusion": {"kind": "PF", "order": 2.0}}}),
+    "symmetric-int": ([], {"model": {"type": "fused", "fusion": {"kind": "PF", "symmetric": 1}}}),
+    "augment-one-string": ([], {"model": {"type": "fused", "fusion": {"kind": "PF", "augment_one": "yes"}}}),
+}
 
 
 def run(*argv):
@@ -153,6 +173,18 @@ class TestVerifyCommand:
     def test_unmatched_filter_is_usage_error(self):
         assert run("verify", "--filter", "zzz-no-such-check") == 2
 
+    @pytest.mark.parametrize("victim", ["fusion.factor1", "eeg.bn0.running_var"])
+    def test_non_finite_checkpoint_fails(self, tmp_path, capsys, victim):
+        model = models.build_from_spec({"type": "fused", "profile": "desk",
+                                        "fusion": {"kind": "PF", "order": 2, "rank": 4, "output_dim": 8}})
+        if victim in model.params:
+            model.params[victim].flat[0] = np.nan
+        else:
+            model.state["eeg.bn0"].running_var[0] = np.nan
+        models.save_model(model, tmp_path / "ckpt")
+        assert run("verify", "--filter", "checkpoint", "--checkpoint", str(tmp_path / "ckpt")) == 1
+        assert victim in capsys.readouterr().out
+
 
 class TestParamsCommand:
     def test_prints_reference_counts(self, capsys):
@@ -180,4 +212,15 @@ class TestUsageErrors:
         assert run("cv", "--data", str(synth_manifest), "--model", "oxy", "--profile", "desk",
                    "--epochs", "1", "--k", k, "--out", str(out)) == 2
         assert "k must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, doc", FAIL_CLOSED_PROBES.values(), ids=list(FAIL_CLOSED_PROBES))
+    def test_bad_settings_fail_closed(self, synth_manifest, tmp_path, capsys, flags, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": {"manifest": str(synth_manifest)}, **doc}))
+        out = tmp_path / "x"
+        assert run("cv", "--config", str(cfg_path), "--profile", "desk", "--epochs", "1", "--k", "4",
+                   *flags, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from trifuse import models, ops
-from trifuse.fusion import FusionSpec
 
 
 class TestExtractorGeometry:
@@ -75,25 +74,25 @@ class TestSingleModal:
 
 class TestFused:
     def test_lf_parameter_totals(self):
-        spec = FusionSpec("LF", (1, 1, 1), 128)
+        spec = {"kind": "LF", "output_dim": 128}
         model = models.ModelGraph.fused(spec, profile="full", seed=0)
         assert model.fusion_param_count() == 52224
         assert model.params["head.w"].size + model.params["head.b"].size == 128 * 2 + 2
 
     def test_pf5_symmetric_parameter_total(self):
-        spec = FusionSpec("PF", (1, 1, 1), 128, rank=16, order=5, symmetric=True)
+        spec = {"kind": "PF", "output_dim": 128, "rank": 16, "order": 5, "symmetric": True}
         model = models.ModelGraph.fused(spec, profile="full", seed=0)
         assert model.fusion_param_count() == 835600
 
     def test_zero_input_is_finite(self):
-        spec = FusionSpec("PF", (1, 1, 1), 8, rank=4, order=3, symmetric=True)
+        spec = {"kind": "PF", "output_dim": 8, "rank": 4, "order": 3, "symmetric": True}
         model = models.ModelGraph.fused(spec, profile="desk", seed=2).set_mode("eval")
         logits = model.forward((np.zeros((2, 30, 600)), np.zeros((2, 36, 30)), np.zeros((2, 36, 30))))
         assert np.isfinite(logits).all()
 
     def test_eval_forward_bit_deterministic(self):
         rng = np.random.default_rng(3)
-        spec = FusionSpec("TF", (1, 1, 1), 8, rank=4)
+        spec = {"kind": "TF", "output_dim": 8, "rank": 4}
         model = models.ModelGraph.fused(spec, profile="desk", seed=3).set_mode("eval")
         x = (rng.normal(size=(2, 30, 600)), rng.normal(size=(2, 36, 30)), rng.normal(size=(2, 36, 30)))
         a = model.forward(x)
@@ -101,11 +100,11 @@ class TestFused:
         assert a.tobytes() == b.tobytes()
 
     def test_l2_normalization_defaults(self):
-        lf = models.ModelGraph.fused(FusionSpec("LF", (1, 1, 1), 8), profile="desk")
-        tf = models.ModelGraph.fused(FusionSpec("TF", (1, 1, 1), 8, rank=2), profile="desk")
+        lf = models.ModelGraph.fused({"kind": "LF", "output_dim": 8}, profile="desk")
+        tf = models.ModelGraph.fused({"kind": "TF", "output_dim": 8, "rank": 2}, profile="desk")
         assert lf.topology["l2_normalize"] is False
         assert tf.topology["l2_normalize"] is True
-        lf2 = models.ModelGraph.fused(FusionSpec("LF", (1, 1, 1), 8), profile="desk", l2_normalize=True)
+        lf2 = models.ModelGraph.fused({"kind": "LF", "output_dim": 8}, profile="desk", l2_normalize=True)
         assert lf2.topology["l2_normalize"] is True
 
 
@@ -116,7 +115,7 @@ class TestTinyClones:
         from trifuse import autodiff as ad
 
         rng = np.random.default_rng(7)
-        spec = FusionSpec("PF", (12, 10, 10), 8, rank=4, order=3, symmetric=True)
+        spec = {"kind": "PF", "output_dim": 8, "rank": 4, "order": 3, "symmetric": True}
         model = models.build_tiny_fused(spec, seed=2)
         inputs = models.tiny_inputs(rng, batch=2)
         labels = np.array([0, 1])
@@ -147,7 +146,7 @@ class TestBuildFromSpec:
 class TestCheckpoint:
     def test_roundtrip_preserves_forward(self, tmp_path):
         rng = np.random.default_rng(5)
-        spec = FusionSpec("PF", (1, 1, 1), 8, rank=4, order=2, symmetric=True)
+        spec = {"kind": "PF", "output_dim": 8, "rank": 4, "order": 2, "symmetric": True}
         model = models.ModelGraph.fused(spec, profile="desk", seed=5).set_mode("eval")
         x = (rng.normal(size=(2, 30, 600)), rng.normal(size=(2, 36, 30)), rng.normal(size=(2, 36, 30)))
         before = model.forward(x)

@@ -1,4 +1,4 @@
-"""Contraction, outer product, concatenation and binary serialization."""
+"""Contraction and binary serialization."""
 
 import struct
 
@@ -66,64 +66,6 @@ class TestContract:
             lhs = tc.contract(alpha * a + b, c, [1], [0])
             rhs = alpha * tc.contract(a, c, [1], [0]) + tc.contract(b, c, [1], [0])
             assert np.allclose(lhs, rhs, rtol=1e-12)
-
-
-class TestOuter:
-    def test_hand_product(self):
-        out = tc.outer([np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0])])
-        assert out.shape == (2, 2, 1)
-        assert out[0, 0, 0] == 15 and out[0, 1, 0] == 20
-        assert out[1, 0, 0] == 30 and out[1, 1, 0] == 40
-
-    def test_single_vector_identity(self):
-        v = np.array([2.0, -1.0, 0.5])
-        assert np.array_equal(tc.outer([v]), v)
-
-    def test_matches_triple_loop(self):
-        rng = np.random.default_rng(4)
-        vs = [rng.normal(size=4) for _ in range(3)]
-        out = tc.outer(vs)
-        for i in range(4):
-            for j in range(4):
-                for k in range(4):
-                    assert np.isclose(out[i, j, k], vs[0][i] * vs[1][j] * vs[2][k], rtol=1e-14)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(tc.ShapeError):
-            tc.outer([])
-
-    def test_non_vector_rejected(self):
-        with pytest.raises(tc.ShapeError):
-            tc.outer([np.zeros((2, 2))])
-
-    def test_fubini_check(self):
-        # full contraction with all-ones equals the product of element sums
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            vs = [rng.normal(size=rng.integers(1, 5)) for _ in range(3)]
-            t = tc.outer(vs)
-            ones = np.ones(t.shape)
-            total = tc.contract(t, ones, list(range(t.ndim)), list(range(t.ndim)))
-            expect = np.prod([v.sum() for v in vs])
-            assert np.allclose(total, expect, rtol=1e-10)
-
-
-class TestConcat:
-    def test_basic(self):
-        out = tc.concat([np.array([1.0]), np.array([2.0, 3.0])])
-        assert np.array_equal(out, [1, 2, 3])
-
-    def test_feature_vector_lengths(self):
-        out = tc.concat([np.zeros(120), np.zeros(144), np.zeros(144)])
-        assert out.shape == (408,)
-
-    def test_identity(self):
-        v = np.array([4.0, 5.0])
-        assert np.array_equal(tc.concat([v]), v)
-
-    def test_order_check(self):
-        with pytest.raises(tc.ShapeError):
-            tc.concat([np.zeros((2, 2))])
 
 
 class TestLayoutAndSerialization:

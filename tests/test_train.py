@@ -77,6 +77,15 @@ class TestTrainLoop:
         with pytest.raises(train.TrainingDiverged, match="epoch 0"):
             train.train(model, ds, (idx[:12], idx[12:]), TrainConfig(epochs=1, batch_size=4))
 
+    def test_non_finite_parameters_after_training_rejected(self):
+        # one step at a NaN learning rate turns every parameter NaN while the
+        # loss stays finite; only the end-of-training check can see it
+        ds = small_dataset()
+        model = models.build_from_spec(OXY_SPEC, seed=0)
+        idx = np.arange(len(ds))
+        with pytest.raises(train.TrainingDiverged, match="parameter"):
+            train.train(model, ds, (idx[:12], idx[12:]), TrainConfig(epochs=1, batch_size=16, lr=float("nan")))
+
     def test_singleton_batch_merged(self):
         # 9 train samples at batch 4 would leave a trailing batch of 1
         ds = small_dataset(n_trials=12)
