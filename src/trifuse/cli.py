@@ -25,7 +25,11 @@ EXIT_RUNTIME = 3
 
 
 class _Atomic:
-    """Stage artifacts in a temp dir, swap into place only on success."""
+    """Stage artifacts in a temp dir, swap into place only on success.
+
+    An existing artifact is renamed to a sibling ``.old-*`` dir before the
+    swap and deleted after it; if the swap fails it is renamed back.
+    """
 
     def __init__(self, final: str):
         self.final = final
@@ -39,9 +43,20 @@ class _Atomic:
         if exc_type is not None:
             shutil.rmtree(self.tmp, ignore_errors=True)
             return False
+        old = None
         if os.path.exists(self.final):
-            shutil.rmtree(self.final)
-        os.replace(self.tmp, self.final)
+            tmp_dir, tmp_name = os.path.split(self.tmp)
+            old = os.path.join(tmp_dir, ".old-" + tmp_name[len(".tmp-"):])
+            os.replace(self.final, old)
+        try:
+            os.replace(self.tmp, self.final)
+        except OSError:
+            if old is not None:
+                os.replace(old, self.final)
+            shutil.rmtree(self.tmp, ignore_errors=True)
+            raise
+        if old is not None:
+            shutil.rmtree(old)
         return False
 
 

@@ -55,6 +55,10 @@ def _positive_int(value, where: str) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     task: str = "run"
@@ -147,10 +151,17 @@ def resolve(doc: dict | None = None, path: str | None = None, overrides: dict | 
         if key in overrides:
             train_doc[key] = overrides[key]
     train_cfg = TrainConfig(seed=int(merged.get("seed", 0)), **train_doc)
+    _positive_int(train_cfg.epochs, "train.epochs")
     _positive_int(train_cfg.batch_size, "train.batch_size")
     _positive_int(train_cfg.eval_batch, "train.eval_batch")
-    if not isinstance(train_cfg.lr, (int, float)) or not 0 < train_cfg.lr < math.inf:
-        raise ConfigError(f"train.lr must be a finite number > 0, got {train_cfg.lr!r}")
+    for key in ("lr", "eps"):
+        value = getattr(train_cfg, key)
+        if not _is_number(value) or not 0 < value < math.inf:
+            raise ConfigError(f"train.{key} must be a finite number > 0, got {value!r}")
+    for key in ("beta1", "beta2"):
+        value = getattr(train_cfg, key)
+        if not _is_number(value) or not 0 <= value < 1:
+            raise ConfigError(f"train.{key} must be a number in [0, 1), got {value!r}")
 
     cv_doc = dict(merged.get("cv") or {})
     _check_keys(cv_doc, CV_KEYS, "cv")

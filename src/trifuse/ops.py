@@ -28,17 +28,20 @@ def conv_out_length(length: int, filt: int, stride: int, padding: int) -> int:
 # ---------------------------------------------------------------------------
 # conv1d
 
-def _im2col(x: np.ndarray, filt: int, stride: int, padding: int) -> np.ndarray:
-    """[B, C, T] -> [B*T_out, C*filt] window matrix (one contiguous copy)."""
+def _windows(x: np.ndarray, filt: int, stride: int, padding: int) -> np.ndarray:
+    """[B, C, T] -> [C*filt, B*T_out] window matrix, time innermost (one copy).
+
+    Row ``c*filt + k`` holds tap ``k`` of channel ``c``; column ``b*T_out + t``
+    is window ``t`` of sample ``b``. At stride 1 every run the copy reads is
+    contiguous time.
+    """
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-    else:
-        x = np.ascontiguousarray(x)
     b, c, t = x.shape
     t_out = (t - filt) // stride + 1
     sb, sc, st = x.strides
-    windows = as_strided(x, shape=(b, t_out, c, filt), strides=(sb, st * stride, sc, st))
-    return np.ascontiguousarray(windows).reshape(b * t_out, c * filt)
+    windows = as_strided(x, shape=(c, filt, b, t_out), strides=(sc, st, sb, st * stride))
+    return np.ascontiguousarray(windows).reshape(c * filt, b * t_out)
 
 
 def conv1d(x, w, bias, stride: int = 1, padding: int = 0, name: str = "conv1d"):
@@ -57,10 +60,11 @@ def conv1d(x, w, bias, stride: int = 1, padding: int = 0, name: str = "conv1d"):
             f"stride {stride}, padding {padding} gives output length {t_out}"
         )
     batch = xb.shape[0]
-    cols = _im2col(xb, filt, stride, padding)  # [B*T_out, C*K]
+    cols = _windows(xb, filt, stride, padding)  # [C*K, B*T_out]
     w2 = wv.reshape(out_ch, in_ch * filt)
-    out = (cols @ w2.T + bv[None, :]).reshape(batch, t_out, out_ch).transpose(0, 2, 1)
-    out = np.ascontiguousarray(out)
+    y = (w2 @ cols).reshape(out_ch, batch, t_out)
+    # out= keeps the result C-ordered; without it numpy keeps y's [O, B, T] order
+    out = np.add(y.transpose(1, 0, 2), bv[None, :, None], out=np.empty((batch, out_ch, t_out)))
     if single:
         out = out[0]
 
@@ -73,16 +77,16 @@ def conv1d(x, w, bias, stride: int = 1, padding: int = 0, name: str = "conv1d"):
     def backward_fn(g):
         gb3 = g[None] if single else g
         grad_bias = gb3.sum(axis=(0, 2)) if vb2.requires_grad else None
-        g_mat = None
+        g2 = None
         if vw.requires_grad or vx.requires_grad:
-            g_mat = np.ascontiguousarray(gb3.transpose(0, 2, 1)).reshape(batch * t_out, out_ch)
-        grad_w = (g_mat.T @ cols).reshape(wv.shape) if vw.requires_grad else None
+            g2 = np.ascontiguousarray(gb3.transpose(1, 0, 2)).reshape(out_ch, batch * t_out)
+        grad_w = (g2 @ cols.T).reshape(wv.shape) if vw.requires_grad else None
         grad_x = None
         if vx.requires_grad:
-            gwin = (g_mat @ w2).reshape(batch, t_out, in_ch, filt)
+            gwin = (w2.T @ g2).reshape(in_ch, filt, batch, t_out)
             gxp = np.zeros((batch, in_ch, t_pad))
             for k in range(filt):
-                gxp[:, :, k:k + stride * t_out:stride] += gwin[:, :, :, k].transpose(0, 2, 1)
+                gxp[:, :, k:k + stride * t_out:stride] += gwin[:, k].transpose(1, 0, 2)
             grad_x = gxp[:, :, padding:padding + t_in]
             if single:
                 grad_x = grad_x[0]

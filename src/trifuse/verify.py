@@ -154,6 +154,13 @@ def check_grad_primitives() -> tuple[bool, str]:
     run("conv1d", lambda t, pv: ad.sum_all(ad.mul(
         y := ops.conv1d(pv["x"], pv["w"], pv["b"], stride=2, padding=1), y)),
         {"x": rng.normal(size=(2, 2, 9)), "w": rng.normal(size=(3, 2, 3)), "b": rng.normal(size=3)})
+    # the extractors' own geometries: the (9, 4) EEG opener and an unbatched (3, 1) block
+    run("conv1d 9/4", lambda t, pv: ad.sum_all(ad.mul(
+        y := ops.conv1d(pv["x"], pv["w"], pv["b"], stride=4), y)),
+        {"x": rng.normal(size=(2, 2, 21)), "w": rng.normal(size=(3, 2, 9)), "b": rng.normal(size=3)})
+    run("conv1d [C, T]", lambda t, pv: ad.sum_all(ad.mul(
+        y := ops.conv1d(pv["x"], pv["w"], pv["b"]), y)),
+        {"x": rng.normal(size=(2, 7)), "w": rng.normal(size=(3, 2, 3)), "b": rng.normal(size=3)})
     st = ops.BatchNormState.fresh(2)
     run("batchnorm_train", lambda t, pv: ad.sum_all(ad.mul(
         y := ops.batchnorm_train(pv["x"], pv["g"], pv["b"], st, update_running=False), y)),

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from trifuse import data, models
+from trifuse import cli, data, models
 from trifuse.cli import main
 
 DESK_PF = ["--model", "pf", "--order", "2", "--rank", "4", "--profile", "desk"]
@@ -24,6 +24,14 @@ FAIL_CLOSED_PROBES = {
     "lr-nan": (["--model", "oxy", "--lr", "nan"], {}),
     "lr-inf": (["--model", "oxy", "--lr", "inf"], {}),
     "lr-0": (["--model", "oxy", "--lr", "0"], {}),
+    "epochs-negative": (["--model", "oxy", "--epochs", "-1"], {}),
+    "epochs-0": (["--model", "oxy", "--epochs", "0"], {}),
+    "epochs-float": (["--model", "oxy"], {"train": {"epochs": 1.5}}),
+    "beta1-1": (["--model", "oxy"], {"train": {"beta1": 1.0}}),
+    "beta2-negative": (["--model", "oxy"], {"train": {"beta2": -0.1}}),
+    "beta2-string": (["--model", "oxy"], {"train": {"beta2": "0.999"}}),
+    "eps-negative": (["--model", "oxy"], {"train": {"eps": -1}}),
+    "eps-0": (["--model", "oxy"], {"train": {"eps": 0}}),
     "output-dim-float": ([], {"model": {"type": "fused", "fusion": {"kind": "LF", "output_dim": 1.5}}}),
     "rank-string": ([], {"model": {"type": "fused", "fusion": {"kind": "TF", "rank": "16"}}}),
     "order-float": ([], {"model": {"type": "fused", "fusion": {"kind": "PF", "order": 2.0}}}),
@@ -112,6 +120,26 @@ class TestTrainCommand:
         victim.write_bytes(bytes(raw))
         assert run("verify", "--filter", "checkpoint",
                    "--checkpoint", str(out / "checkpoint")) == 1
+
+    def test_failed_swap_keeps_previous_artifacts(self, synth_manifest, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        args = ["train", "--data", str(synth_manifest), *DESK_PF, "--epochs", "1", "--k", "4",
+                "--out", str(out)]
+        assert run(*args, "--seed", "1") == 0
+        before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        real_replace = cli.os.replace
+
+        def failing_replace(src, dst):
+            if os.path.basename(src).startswith(".tmp-") and os.path.abspath(dst) == str(out):
+                raise OSError("swap refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        assert run(*args, "--seed", "2") == 3
+        assert "swap refused" in capsys.readouterr().err
+        after = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert after == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "run"]
 
 
 class TestCvCommand:
@@ -219,7 +247,9 @@ class TestUsageErrors:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"data": {"manifest": str(synth_manifest)}, **doc}))
         out = tmp_path / "x"
-        assert run("cv", "--config", str(cfg_path), "--profile", "desk", "--epochs", "1", "--k", "4",
+        # the --epochs flag would override a probe's own train.epochs
+        epochs = [] if "epochs" in doc.get("train", {}) else ["--epochs", "1"]
+        assert run("cv", "--config", str(cfg_path), "--profile", "desk", *epochs, "--k", "4",
                    *flags, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,14 +1,16 @@
 """Hot-path kernels against copies of their earlier formulas.
 
 Symmetric PF shares one projection across polynomial positions, batch norm
-reuses its centred input and takes a closed-form backward, and Adam updates
-through reused scratch rows. Each is held here to the straightforward formula
-it replaced: bit-identical where the arithmetic is unchanged, within 1e-12
-relative where only the summation order moved.
+reuses its centred input and takes a closed-form backward, Adam updates
+through reused scratch rows, and conv1d multiplies a time-innermost window
+matrix. Each is held here to the straightforward formula it replaced:
+bit-identical where the arithmetic is unchanged, within 1e-12 relative where
+only the summation order moved.
 """
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
 from trifuse import autodiff as ad
 from trifuse import data, fusion, models, ops
@@ -75,6 +77,130 @@ class TestSymmetricPF:
         # 3 extractors x 6 blocks x (conv, bn, relu) + 3 pools, concat, one shared
         # projection, 2 muls, mix, l2, linear (contract, add), softmax-CE
         assert len(tape.nodes) == 66
+
+
+# ---------------------------------------------------------------------------
+# conv1d
+
+def _im2col_reference(x, filt, stride, padding):
+    """[B, C, T] -> [B*T_out, C*filt] window matrix (one contiguous copy)."""
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    else:
+        x = np.ascontiguousarray(x)
+    b, c, t = x.shape
+    t_out = (t - filt) // stride + 1
+    sb, sc, st = x.strides
+    windows = as_strided(x, shape=(b, t_out, c, filt), strides=(sb, st * stride, sc, st))
+    return np.ascontiguousarray(windows).reshape(b * t_out, c * filt)
+
+
+def conv_reference(xv, wv, bv, stride, padding):
+    """The sample-major im2col conv1d: output and a backward returning all three gradients."""
+    single = xv.ndim == 2
+    xb = xv[None] if single else xv
+    out_ch, in_ch, filt = wv.shape
+    t_in = xb.shape[2]
+    t_out = ops.conv_out_length(t_in, filt, stride, padding)
+    batch = xb.shape[0]
+    cols = _im2col_reference(xb, filt, stride, padding)
+    w2 = wv.reshape(out_ch, in_ch * filt)
+    out = (cols @ w2.T + bv[None, :]).reshape(batch, t_out, out_ch).transpose(0, 2, 1)
+    out = np.ascontiguousarray(out)
+    if single:
+        out = out[0]
+    t_pad = t_in + 2 * padding
+
+    def backward(g):
+        gb3 = g[None] if single else g
+        grad_bias = gb3.sum(axis=(0, 2))
+        g_mat = np.ascontiguousarray(gb3.transpose(0, 2, 1)).reshape(batch * t_out, out_ch)
+        grad_w = (g_mat.T @ cols).reshape(wv.shape)
+        gwin = (g_mat @ w2).reshape(batch, t_out, in_ch, filt)
+        gxp = np.zeros((batch, in_ch, t_pad))
+        for k in range(filt):
+            gxp[:, :, k:k + stride * t_out:stride] += gwin[:, :, :, k].transpose(0, 2, 1)
+        grad_x = gxp[:, :, padding:padding + t_in]
+        if single:
+            grad_x = grad_x[0]
+        return grad_x, grad_w, grad_bias
+
+    return out, backward
+
+
+def _full_profile_layers():
+    """(in_ch, out_ch, length, filter, stride, padding) of every full-profile conv."""
+    lengths = {"eeg": data.EEG_WINDOW, "oxy": data.NIRS_WINDOW, "deoxy": data.NIRS_WINDOW}
+    layers = []
+    for modality in models.MODALITIES:
+        plan = models.extractor_plan(modality, "full")
+        ch, t = plan["in_channels"], lengths[modality]
+        for blk, t_next in zip(plan["blocks"], models.time_chain(plan, t)):
+            layers.append(pytest.param(
+                ch, blk["out_channels"], t, blk["filter"], blk["stride"], blk["padding"],
+                id=f"{modality}-{ch}x{t}-k{blk['filter']}s{blk['stride']}"))
+            ch, t = blk["out_channels"], t_next
+    return layers
+
+
+FULL_PROFILE_LAYERS = _full_profile_layers()
+
+
+def _conv_grads(x, w, b, upstream, stride, padding):
+    tape = ad.Tape()
+    vx, vw, vb = tape.variable(x), tape.variable(w), tape.variable(b)
+    y = ops.conv1d(vx, vw, vb, stride=stride, padding=padding)
+    ad.backward(tape, ad.sum_all(ad.mul(y, upstream)))
+    return y.value, ad.grad_of(vx), ad.grad_of(vw), ad.grad_of(vb)
+
+
+def _check_conv_against_reference(x, out_ch, filt, stride, padding, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(out_ch, x.shape[-2], filt))
+    b = rng.normal(size=out_ch)
+    ref, ref_backward = conv_reference(x, w, b, stride, padding)
+    upstream = rng.normal(size=ref.shape)
+    got = _conv_grads(x, w, b, upstream, stride, padding)
+    for g, want in zip(got, (ref, *ref_backward(upstream))):
+        assert g.shape == want.shape
+        assert rel_err(g, want) <= RTOL
+
+
+class TestConv1d:
+    def test_full_profile_layers_count(self):
+        assert len(FULL_PROFILE_LAYERS) == 18
+
+    @pytest.mark.parametrize("in_ch, out_ch, length, filt, stride, padding", FULL_PROFILE_LAYERS)
+    def test_full_profile_geometry_matches_reference(self, in_ch, out_ch, length, filt, stride, padding):
+        x = np.random.default_rng(length + in_ch).normal(size=(2, in_ch, length))
+        _check_conv_against_reference(x, out_ch, filt, stride, padding, seed=filt * 10 + stride)
+
+    def test_padded_matches_reference(self):
+        x = np.random.default_rng(21).normal(size=(3, 4, 11))
+        _check_conv_against_reference(x, 5, filt=3, stride=2, padding=1, seed=22)
+
+    def test_single_sample_matches_reference(self):
+        x = np.random.default_rng(23).normal(size=(4, 13))
+        _check_conv_against_reference(x, 6, filt=3, stride=1, padding=0, seed=24)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 10), (3, 10)], ids=["batched", "single"])
+    def test_output_is_c_contiguous(self, shape):
+        rng = np.random.default_rng(25)
+        x, w, b = rng.normal(size=shape), rng.normal(size=(4, 3, 3)), rng.normal(size=4)
+        assert ops.conv1d(x, w, b, stride=2, padding=1).flags.c_contiguous
+        tape = ad.Tape()
+        y = ops.conv1d(x, tape.variable(w), tape.variable(b), stride=2, padding=1)
+        assert y.value.flags.c_contiguous
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(26)
+        x, w, b = rng.normal(size=(2, 3, 10)), rng.normal(size=(4, 3, 3)), rng.normal(size=4)
+        tape = ad.Tape()
+        y = ops.conv1d(x, tape.variable(w), tape.variable(b))
+        (node,) = tape.nodes
+        grad_x, grad_w, grad_b = node.backward_fn(np.ones_like(y.value))
+        assert grad_x is None
+        assert grad_w.shape == w.shape and grad_b.shape == b.shape
 
 
 # ---------------------------------------------------------------------------
