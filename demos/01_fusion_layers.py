@@ -8,10 +8,7 @@ dense reconstructed weight tensor.
 
 import numpy as np
 
-from trifuse.fusion import (
-    FusionSpec, fuse, init_fusion_params, param_count, reconstruct_full,
-    fuse_polynomial,
-)
+from trifuse.fusion import FusionSpec, fuse, init_fusion_params, param_count, reconstruct_full
 
 rng = np.random.default_rng(0)
 
@@ -47,8 +44,8 @@ w = reconstruct_full(spec, params)
 print("reconstructed dense PF weight tensor:", w.shape)
 
 zs = [rng.normal(size=d) for d in spec.input_dims]
-y_fact = fuse_polynomial(*zs, params, spec)
+y_fact = fuse(spec, params, *zs)
 full_spec = FusionSpec("PF", spec.input_dims, 8, order=3, path="full")
-y_full = fuse_polynomial(*zs, {"w_full": w}, full_spec)
+y_full = fuse(full_spec, {"w_full": w}, *zs)
 rel = np.max(np.abs(y_fact - y_full)) / np.max(np.abs(y_full))
 print(f"factorized vs dense forward: max relative difference {rel:.2e}")

@@ -16,7 +16,7 @@ import sys
 import tempfile
 
 from . import __version__, config, data, models, train, verify
-from .fusion import FusionSpec, param_count
+from .fusion import FusionSpec, FusionSpecError, param_count
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -227,18 +227,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_params(args) -> int:
-    dims = tuple(args.dims)
-    o = args.output_dim if args.output_dim is not None else 128
-    rows = [
-        ("LF", FusionSpec("LF", dims, o)),
-        ("TF full", FusionSpec("TF", dims, o, path="full")),
-        ("TF factorized", FusionSpec("TF", dims, o, rank=args.rank or 16)),
-        (f"PF p={args.order or 5} full", FusionSpec("PF", dims, o, order=args.order or 5, path="full")),
-        (f"PF p={args.order or 5} factorized",
-         FusionSpec("PF", dims, o, rank=args.rank or 16, order=args.order or 5)),
-        (f"PF p={args.order or 5} symmetric",
-         FusionSpec("PF", dims, o, rank=args.rank or 16, order=args.order or 5, symmetric=True)),
-    ]
+    dims, o, r, p = tuple(args.dims), args.output_dim, args.rank, args.order
+    try:
+        rows = [
+            ("LF", FusionSpec("LF", dims, o)),
+            ("TF full", FusionSpec("TF", dims, o, path="full")),
+            ("TF factorized", FusionSpec("TF", dims, o, rank=r)),
+            (f"PF p={p} full", FusionSpec("PF", dims, o, order=p, path="full")),
+            (f"PF p={p} factorized", FusionSpec("PF", dims, o, rank=r, order=p)),
+            (f"PF p={p} symmetric", FusionSpec("PF", dims, o, rank=r, order=p, symmetric=True)),
+        ]
+    except FusionSpecError as exc:
+        raise config.ConfigError(str(exc)) from None
     print(f"fusion parameter counts for feature lengths {dims}, fused length {o}:")
     for label, spec in rows:
         print(f"  {label:24} {param_count(spec):>18,}")
@@ -284,9 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("params", help="parameter-count table for the fusion layers")
     p.add_argument("--dims", type=int, nargs=3, default=[120, 144, 144],
                    help="feature lengths A B C (default: 120 144 144)")
-    p.add_argument("--output-dim", type=int, help="fused vector length (default 128)")
-    p.add_argument("--rank", type=int, help="CP rank (default 16)")
-    p.add_argument("--order", type=int, help="polynomial order (default 5)")
+    p.add_argument("--output-dim", type=int, default=128, help="fused vector length (default 128)")
+    p.add_argument("--rank", type=int, default=16, help="CP rank (default 16)")
+    p.add_argument("--order", type=int, default=5, help="polynomial order (default 5)")
     p.set_defaults(fn=cmd_params)
 
     return parser

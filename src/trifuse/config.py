@@ -107,21 +107,19 @@ def _validate_model(model: dict, profile: str) -> dict:
     raise ConfigError(f"model.type must be 'single' or 'fused', got {kind!r}")
 
 
-def resolve(doc: dict | None = None, path: str | None = None, overrides: dict | None = None) -> RunConfig:
+def resolve(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Merge config file, flag overrides and profile defaults into a RunConfig."""
-    doc = dict(doc or {})
+    merged = {}
     if path is not None:
         with open(path) as fh:
             try:
-                loaded = json.load(fh)
+                merged = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
+        if not isinstance(merged, dict):
             raise ConfigError("config file must hold a JSON object")
-        doc = {**loaded, **doc}
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
 
-    merged = dict(doc)
     for key in ("profile", "seed", "jobs", "out", "task"):
         if key in overrides:
             merged[key] = overrides[key]
@@ -133,9 +131,9 @@ def resolve(doc: dict | None = None, path: str | None = None, overrides: dict | 
 
     data = dict(merged.get("data") or {})
     _check_keys(data, DATA_KEYS, "data")
-    for key in ("manifest", "synth", "data_seed", "shuffle_labels"):
+    for key in ("manifest", "synth", "shuffle_labels"):
         if key in overrides:
-            data[key.replace("data_", "")] = overrides[key]
+            data[key] = overrides[key]
     if "synth" in data:
         _check_keys(dict(data["synth"]), SYNTH_KEYS, "data.synth")
 

@@ -1,22 +1,23 @@
 """Tri-modal feature fusion layers.
 
 Three families, each mapping feature vectors (z1, z2, z3) of lengths (A, B, C)
-to a fused vector of length O:
+to a fused vector of length O. All three contract a list of operands with one
+weight tensor ``W[i1..ik, o]``: ``y[o] = sum W[i1..ik, o] * x1[i1] * ... * xk[ik]``.
 
-* linear fusion (LF): concatenate, then one weight matrix;
-* tensor fusion (TF): outer product of the three vectors contracted with a
-  4th-order weight tensor;
-* polynomial fusion (PF): p-fold outer power of the concatenated vector
-  contracted with a (p+1)-order weight tensor, capturing every degree-p
-  interaction within and across modalities.
+* linear fusion (LF): one operand, the concatenation ``zc = [z1, z2, z3]``;
+* tensor fusion (TF): the operands ``z1, z2, z3`` (their outer product);
+* polynomial fusion (PF): the operand ``zc`` p times (its p-fold outer power),
+  capturing every degree-p interaction within and across modalities.
 
-TF and PF each have a ``full`` path (materialized weight tensor, guarded
-against huge allocations) and a ``factorized`` path where the weight tensor is
-a rank-R sum of per-position factor tensors ``[dim, R, O]`` combined by a
-mixing vector ``[R]``. ``reconstruct_full`` rebuilds the dense tensor from the
-factors so tests can assert the two paths agree. A symmetric PF layer stores
-one factor tensor, projects the concatenated vector through it once, and
-multiplies that projection by itself p times.
+``fuse(spec, params, z1, z2, z3)`` is the one forward; the ``FusionSpec`` says
+which of these it computes. LF and the ``full`` path of TF and PF hold ``W``
+dense (guarded against huge allocations) and contract it one operand at a
+time. The ``factorized`` path holds ``W`` as a rank-R sum of per-operand factor
+tensors ``[dim, R, O]`` combined by a mixing vector ``[R]``: it projects each
+operand through its factor and multiplies the projections. A symmetric PF
+layer stores one factor tensor, projects ``zc`` through it once, and
+multiplies that projection by itself p times. ``reconstruct_full`` rebuilds
+the dense tensor from the factors so tests can assert the two paths agree.
 """
 
 from __future__ import annotations
@@ -166,44 +167,7 @@ def init_fusion_params(spec: FusionSpec, rng: np.random.Generator) -> dict[str, 
 
 
 # ---------------------------------------------------------------------------
-# forward paths (ndarray or Variable inputs)
-
-def _as_batch(z):
-    zv = value_of(z)
-    if zv.ndim == 1:
-        return ad.reshape(z, (1, zv.shape[0])), True
-    if zv.ndim == 2:
-        return z, False
-    raise FusionSpecError(f"feature input must be order 1 or 2, got shape {zv.shape}")
-
-
-def _maybe_squeeze(y, single: bool):
-    if not single:
-        return y
-    yv = value_of(y)
-    return ad.reshape(y, yv.shape[1:])
-
-
-def _check_len(z, expected: int, which: str):
-    got = value_of(z).shape[-1]
-    if got != expected:
-        raise FusionSpecError(f"{which} has length {got}, expected {expected}")
-
-
-def fuse_linear(z1, z2, z3, params):
-    """Concatenate the three feature vectors and apply one weight matrix."""
-    w = params["w"]
-    d = value_of(w).shape[0]
-    z1, s1 = _as_batch(z1)
-    z2, _ = _as_batch(z2)
-    z3, _ = _as_batch(z3)
-    zc = ad.concat_last([z1, z2, z3])
-    if value_of(zc).shape[-1] != d:
-        raise FusionSpecError(
-            f"concatenated length {value_of(zc).shape[-1]} does not match weight rows {d}"
-        )
-    return _maybe_squeeze(ad.matmul(zc, w), s1)
-
+# forward (ndarray or Variable inputs)
 
 def _mixdown(projs, mix):
     """Elementwise product of [batch, R, O] projections, contracted with mix [R]."""
@@ -213,82 +177,52 @@ def _mixdown(projs, mix):
     return ad.contract(h, mix, [1], [0])
 
 
-def _full_chain(t, z, n_remaining: int):
+def _full_chain(t, z):
     """One step of y = sum_i z_i * t[:, i, ...]: multiply broadcast, then sum axis 1."""
     b, d = value_of(z).shape
-    zr = ad.reshape(z, (b, d) + (1,) * n_remaining)
+    zr = ad.reshape(z, (b, d) + (1,) * (value_of(t).ndim - 2))
     return ad.sum_axis(ad.mul(t, zr), 1)
 
 
-def fuse_tensor(z1, z2, z3, params, path: str = "factorized"):
-    """Trilinear fusion: outer(z1, z2, z3) contracted with the weight tensor."""
-    z1, s1 = _as_batch(z1)
-    z2, _ = _as_batch(z2)
-    z3, _ = _as_batch(z3)
-    if path == "full":
-        w = params["w_full"]
-        if value_of(w).size > MATERIALIZE_LIMIT:
-            raise MaterializeError(f"full-path weight tensor has {value_of(w).size} entries, over the guard")
-        a, b, c, _o = value_of(w).shape
-        for z, dim, tag in ((z1, a, "z1"), (z2, b, "z2"), (z3, c, "z3")):
-            _check_len(z, dim, tag)
-        t = ad.contract(z1, w, [1], [0])  # [batch, B, C, O]
-        t = _full_chain(t, z2, 2)  # [batch, C, O]
-        t = _full_chain(t, z3, 1)  # [batch, O]
-        return _maybe_squeeze(t, s1)
-    if path != "factorized":
-        raise FusionSpecError(f"unknown path {path!r}")
-    f1, f2, f3, mix = params["factor1"], params["factor2"], params["factor3"], params["mix"]
-    _check_len(z1, value_of(f1).shape[0], "z1")
-    _check_len(z2, value_of(f2).shape[0], "z2")
-    _check_len(z3, value_of(f3).shape[0], "z3")
-    projs = [ad.contract(z, f, [1], [0]) for z, f in ((z1, f1), (z2, f2), (z3, f3))]
-    return _maybe_squeeze(_mixdown(projs, mix), s1)
+def fuse(spec: FusionSpec, params, z1, z2, z3):
+    """The fused vector ``[batch, O]`` (``[O]`` for unbatched inputs), before normalization.
 
-
-def _concat_input(z1, z2, z3, spec: FusionSpec):
-    z1, s1 = _as_batch(z1)
-    z2, _ = _as_batch(z2)
-    z3, _ = _as_batch(z3)
+    Inputs are ``[len]`` or ``[batch, len]`` with lengths ``spec.input_dims``.
+    The spec alone says which weights in ``params`` are read and how.
+    """
+    zs = []
     for z, dim, tag in zip((z1, z2, z3), spec.input_dims, ("z1", "z2", "z3")):
-        _check_len(z, dim, tag)
-    parts = [z1, z2, z3]
-    if spec.augment_one:
-        batch = value_of(z1).shape[0]
-        ones = np.ones((batch, 1))
-        parts = [ones] + parts
-    return ad.concat_last(parts), s1
-
-
-def fuse_polynomial(z1, z2, z3, params, spec: FusionSpec):
-    """Degree-p fusion of the concatenated feature vector."""
-    if spec.kind != "PF":
-        raise FusionSpecError(f"fuse_polynomial needs a PF spec, got {spec.kind}")
-    zc, s1 = _concat_input(z1, z2, z3, spec)
-    p = spec.order
-    if spec.path == "full":
-        spec.check_materializable("full-path weight tensor")
-        w = params["w_full"]
-        t = ad.contract(zc, w, [1], [0])  # [batch, d^(p-1)..., O]
-        for k in range(2, p + 1):
-            t = _full_chain(t, zc, p - k + 1)
-        return _maybe_squeeze(t, s1)
-    if spec.symmetric:
+        shape = value_of(z).shape
+        if len(shape) not in (1, 2):
+            raise FusionSpecError(f"feature input must be order 1 or 2, got shape {shape}")
+        if shape[-1] != dim:
+            raise FusionSpecError(f"{tag} has length {shape[-1]}, expected {dim}")
+        zs.append(ad.reshape(z, (1, dim)) if len(shape) == 1 else z)
+    if spec.kind == "TF":
+        operands = zs
+    else:
+        if spec.augment_one:
+            zs = [np.ones((value_of(zs[0]).shape[0], 1))] + zs
+        zc = ad.concat_last(zs)
+        operands = [zc] if spec.kind == "LF" else [zc] * spec.order
+    if spec.kind == "LF" or spec.path == "full":
+        w = params["w" if spec.kind == "LF" else "w_full"]
+        want = tuple(value_of(z).shape[1] for z in operands) + (spec.output_dim,)
+        if value_of(w).shape != want:
+            raise FusionSpecError(f"{spec.kind} weight has shape {value_of(w).shape}, expected {want}")
+        if spec.path == "full":
+            spec.check_materializable("full-path weight tensor")
+        y = ad.contract(operands[0], w, [1], [0])
+        for z in operands[1:]:
+            y = _full_chain(y, z)
+    elif spec.symmetric:
         # one shared projection, multiplied by itself p times; backward sums
         # the p upstream gradients into it before one factor contraction
-        projs = [ad.contract(zc, params["factor"], [1], [0])] * p
+        y = _mixdown([ad.contract(operands[0], params["factor"], [1], [0])] * spec.order, params["mix"])
     else:
-        projs = [ad.contract(zc, params[f"factor{k}"], [1], [0]) for k in range(1, p + 1)]
-    return _maybe_squeeze(_mixdown(projs, params["mix"]), s1)
-
-
-def fuse(spec: FusionSpec, params, z1, z2, z3):
-    """Dispatch on the fusion kind; output is the pre-normalization fused vector."""
-    if spec.kind == "LF":
-        return fuse_linear(z1, z2, z3, params)
-    if spec.kind == "TF":
-        return fuse_tensor(z1, z2, z3, params, path=spec.path)
-    return fuse_polynomial(z1, z2, z3, params, spec)
+        projs = [ad.contract(z, params[f"factor{k}"], [1], [0]) for k, z in enumerate(operands, 1)]
+        y = _mixdown(projs, params["mix"])
+    return ad.reshape(y, value_of(y).shape[1:]) if value_of(z1).ndim == 1 else y
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,12 @@ def train(model: ModelGraph, dataset: SegmentDataset, split, config: TrainConfig
     Deterministic for a fixed config: initialization comes from the model's
     seed, shuffling from ``config.seed``.
     """
+    return _train(model, dataset, split, config, fingerprint, fold)[0]
+
+
+def _train(model: ModelGraph, dataset: SegmentDataset, split, config: TrainConfig,
+           fingerprint: dict | None, fold: int | None) -> tuple[TrainReport, np.ndarray]:
+    """``train``, also returning the per-segment correct mask of the test side."""
     train_idx, test_idx = (np.asarray(s) for s in split)
     if len(np.intersect1d(dataset.trial_ids[train_idx], dataset.trial_ids[test_idx])) > 0:
         raise ValueError("train and test splits share trials")
@@ -270,13 +276,15 @@ def train(model: ModelGraph, dataset: SegmentDataset, split, config: TrainConfig
     if len(test_idx):
         stats = evaluate(model, dataset, test_idx, config.eval_batch, config.trial_vote)
     else:
-        stats = {"accuracy": None, "per_offset": {}, "per_subject": {}, "trial_accuracy": None}
-    return TrainReport(
+        stats = {"accuracy": None, "per_offset": {}, "per_subject": {}, "trial_accuracy": None,
+                 "correct": np.zeros(0, dtype=bool)}
+    report = TrainReport(
         losses=losses, n_train=len(train_idx), n_test=len(test_idx),
         test_accuracy=stats["accuracy"], per_offset=stats["per_offset"],
         per_subject=stats["per_subject"], trial_accuracy=stats.get("trial_accuracy"),
         fingerprint=fingerprint or {}, fold=fold,
     )
+    return report, stats["correct"]
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +297,7 @@ def _fold_seed(base_seed: int, fold: int) -> int:
 def _run_fold(args):
     model_spec, dataset, train_idx, test_idx, config, fold = args
     model = build_from_spec(model_spec, seed=_fold_seed(config.seed, fold))
-    report = train(model, dataset, (train_idx, test_idx), config, fold=fold)
-    preds = predict_labels(model, dataset, test_idx, config.eval_batch)
-    return report, preds
+    return _train(model, dataset, (train_idx, test_idx), config, None, fold)
 
 
 def cross_validate(model_spec: dict, dataset: SegmentDataset, k: int = 5,
@@ -321,9 +327,9 @@ def cross_validate(model_spec: dict, dataset: SegmentDataset, k: int = 5,
     all_correct = np.zeros(len(dataset), dtype=bool)
     covered = np.zeros(len(dataset), dtype=bool)
     fold_reports = []
-    for (report, preds), task in zip(results, tasks):
+    for (report, correct), task in zip(results, tasks):
         test_idx = task[3]
-        all_correct[test_idx] = preds == dataset.labels[test_idx]
+        all_correct[test_idx] = correct
         covered[test_idx] = True
         fold_reports.append(report)
     assert covered.all(), "cross validation must cover every segment exactly once"

@@ -5,7 +5,7 @@ import pytest
 
 from trifuse import autodiff as ad
 from trifuse import ops
-from trifuse.fusion import FusionSpec, fuse_polynomial, init_fusion_params
+from trifuse.fusion import FusionSpec, fuse, init_fusion_params
 
 
 def test_square_sum_gradient():
@@ -118,7 +118,7 @@ class TestGradCheck:
         zs = [rng.normal(size=d) for d in spec.input_dims]
 
         def build(tape, pv):
-            y = fuse_polynomial(*zs, {"w_full": pv["w_full"]}, spec)
+            y = fuse(spec, {"w_full": pv["w_full"]}, *zs)
             y2 = ad.reshape(y, (1, 2))
             logits = ops.linear_forward(ops.l2_normalize(y2), pv["head_w"], pv["head_b"])
             return ops.softmax_crossentropy(logits, np.array([1]))

@@ -222,6 +222,15 @@ class TestParamsCommand:
         assert "318,504,960" in out
         assert "835,600" in out
 
+    @pytest.mark.parametrize("flags", [["--rank", "0"], ["--order", "0"], ["--output-dim", "0"],
+                                       ["--dims", "0", "1", "1"], ["--rank", "-3"]],
+                             ids=["rank-0", "order-0", "output-dim-0", "dims-0", "rank-negative"])
+    def test_bad_values_fail_closed(self, capsys, flags):
+        assert run("params", *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestUsageErrors:
     def test_missing_model(self, synth_manifest, tmp_path):

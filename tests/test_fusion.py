@@ -12,9 +12,6 @@ from trifuse.fusion import (
     FusionSpecError,
     MaterializeError,
     fuse,
-    fuse_linear,
-    fuse_polynomial,
-    fuse_tensor,
     init_fusion_params,
     param_count,
     reconstruct_full,
@@ -27,13 +24,13 @@ class TestLinearFusion:
     def test_one_hot_selection(self):
         w = np.zeros((3, 1))
         w[0, 0] = 2.0
-        y = fuse_linear(np.array([1.0]), np.array([0.0]), np.array([0.0]), {"w": w})
+        y = fuse(FusionSpec("LF", (1, 1, 1), 1), {"w": w}, np.array([1.0]), np.array([0.0]), np.array([0.0]))
         assert np.array_equal(y, [2.0])
 
     def test_zero_features_zero_output(self):
         rng = np.random.default_rng(0)
         w = rng.normal(size=(10, 4))
-        y = fuse_linear(np.zeros(3), np.zeros(3), np.zeros(4), {"w": w})
+        y = fuse(FusionSpec("LF", (3, 3, 4), 4), {"w": w}, np.zeros(3), np.zeros(3), np.zeros(4))
         assert np.array_equal(y, np.zeros(4))  # no bias in fusion
 
     def test_block_sum_identity(self):
@@ -42,28 +39,30 @@ class TestLinearFusion:
 
     def test_dimension_mismatch(self):
         with pytest.raises(FusionSpecError):
-            fuse_linear(np.zeros(2), np.zeros(2), np.zeros(2), {"w": np.zeros((7, 3))})
+            fuse(FusionSpec("LF", (2, 2, 2), 3), {"w": np.zeros((7, 3))}, *[np.zeros(2)] * 3)
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(1)
         w = rng.normal(size=(9, 5))
+        spec = FusionSpec("LF", (2, 3, 4), 5)
         zs = [rng.normal(size=(6, d)) for d in (2, 3, 4)]
-        batched = fuse_linear(*zs, {"w": w})
+        batched = fuse(spec, {"w": w}, *zs)
         for i in range(6):
-            row = fuse_linear(zs[0][i], zs[1][i], zs[2][i], {"w": w})
+            row = fuse(spec, {"w": w}, zs[0][i], zs[1][i], zs[2][i])
             assert np.allclose(batched[i], row, rtol=1e-13)
 
 
 class TestTensorFusion:
     def test_hand_outer_product(self):
-        y = fuse_tensor(np.array([1.0, 2.0]), np.array([3.0]), np.array([2.0]),
-                        {"w_full": np.ones((2, 1, 1, 1))}, path="full")
+        y = fuse(FusionSpec("TF", (2, 1, 1), 1, path="full"), {"w_full": np.ones((2, 1, 1, 1))},
+                 np.array([1.0, 2.0]), np.array([3.0]), np.array([2.0]))
         assert np.array_equal(y, [18.0])  # 1*3*2 + 2*3*2
 
     def test_zero_modality_annihilates(self):
         rng = np.random.default_rng(2)
         params = {"w_full": rng.normal(size=(3, 2, 2, 4))}
-        y = fuse_tensor(rng.normal(size=3), np.zeros(2), rng.normal(size=2), params, path="full")
+        spec = FusionSpec("TF", (3, 2, 2), 4, path="full")
+        y = fuse(spec, params, rng.normal(size=3), np.zeros(2), rng.normal(size=2))
         assert np.allclose(y, 0.0, atol=1e-15)
 
     def test_full_rank_reconstruction(self):
@@ -74,8 +73,8 @@ class TestTensorFusion:
         params = {k: rng.normal(size=v.shape) for k, v in init_fusion_params(spec, rng).items()}
         w = reconstruct_full(spec, params)
         zs = [rng.normal(size=4) for _ in range(3)]
-        y_fac = fuse_tensor(*zs, params, path="factorized")
-        y_full = fuse_tensor(*zs, {"w_full": w}, path="full")
+        y_fac = fuse(spec, params, *zs)
+        y_full = fuse(FusionSpec("TF", (4, 4, 4), 3, path="full"), {"w_full": w}, *zs)
         assert np.max(np.abs(y_fac - y_full)) / np.max(np.abs(y_full)) < 1e-8
 
     def test_reconstruction_grid(self):
@@ -87,8 +86,8 @@ class TestTensorFusion:
         spec = FusionSpec("TF", (3, 4, 2), 5, rank=6)
         params = init_fusion_params(spec, rng)
         zs = [rng.normal(size=d) for d in spec.input_dims]
-        base = fuse_tensor(*zs, params, path="factorized")
-        scaled = fuse_tensor(3.5 * zs[0], zs[1], zs[2], params, path="factorized")
+        base = fuse(spec, params, *zs)
+        scaled = fuse(spec, params, 3.5 * zs[0], zs[1], zs[2])
         assert np.allclose(scaled, 3.5 * base, rtol=1e-10)
 
     def test_materialization_guard(self):
@@ -105,8 +104,8 @@ class TestPolynomialFusion:
         w = rng.normal(size=(9, 5))
         spec = FusionSpec("PF", dims, 5, order=1, path="full")
         zs = [rng.normal(size=d) for d in dims]
-        y_pf = fuse_polynomial(*zs, {"w_full": w}, spec)
-        y_lf = fuse_linear(*zs, {"w": w})
+        y_pf = fuse(spec, {"w_full": w}, *zs)
+        y_lf = fuse(FusionSpec("LF", dims, 5), {"w": w}, *zs)
         assert np.allclose(y_pf, y_lf, rtol=1e-13)
 
     def test_all_ones_collapse_to_power_of_sum(self):
@@ -114,7 +113,7 @@ class TestPolynomialFusion:
         zs = [np.array([1.0]), np.array([2.0]), np.array([3.0])]
         for p in (2, 3):
             spec = FusionSpec("PF", (1, 1, 1), 1, order=p, path="full")
-            y = fuse_polynomial(*zs, {"w_full": np.ones((3,) * p + (1,))}, spec)
+            y = fuse(spec, {"w_full": np.ones((3,) * p + (1,))}, *zs)
             assert np.isclose(y[0], 6.0**p, rtol=1e-12)
 
     def test_full_vs_factorized_rank36(self):
@@ -124,9 +123,9 @@ class TestPolynomialFusion:
         params = {k: rng.normal(size=v.shape) for k, v in init_fusion_params(spec, rng).items()}
         w = reconstruct_full(spec, params)
         zs = [rng.normal(size=d) for d in dims]
-        y_fac = fuse_polynomial(*zs, params, spec)
+        y_fac = fuse(spec, params, *zs)
         full_spec = FusionSpec("PF", dims, 2, order=2, path="full")
-        y_full = fuse_polynomial(*zs, {"w_full": w}, full_spec)
+        y_full = fuse(full_spec, {"w_full": w}, *zs)
         assert np.max(np.abs(y_fac - y_full)) / np.max(np.abs(y_full)) < 1e-8
 
     def test_nine_block_expansion(self):
@@ -143,8 +142,8 @@ class TestPolynomialFusion:
             spec = FusionSpec("PF", (2, 2, 2), 3, rank=4, order=p, symmetric=True)
             params = init_fusion_params(spec, rng)
             zs = [rng.normal(size=2) for _ in range(3)]
-            base = fuse_polynomial(*zs, params, spec)
-            scaled = fuse_polynomial(*(1.7 * z for z in zs), params, spec)
+            base = fuse(spec, params, *zs)
+            scaled = fuse(spec, params, *(1.7 * z for z in zs))
             assert np.allclose(scaled, 1.7**p * base, rtol=1e-9)
 
     def test_symmetric_gradient_equals_summed_clone_gradients(self):
@@ -159,7 +158,7 @@ class TestPolynomialFusion:
         tape = ad.Tape()
         shared = tape.variable(sym_params["factor"])
         mix = tape.variable(sym_params["mix"])
-        y = fuse_polynomial(*zs, {"factor": shared, "mix": mix}, sym)
+        y = fuse(sym, {"factor": shared, "mix": mix}, *zs)
         ad.backward(tape, ad.sum_all(ad.mul(y, y)))
         shared_grad = shared.grad
 
@@ -167,7 +166,7 @@ class TestPolynomialFusion:
         tape2 = ad.Tape()
         clones = {f"factor{k}": tape2.variable(sym_params["factor"].copy()) for k in range(1, p + 1)}
         clones["mix"] = tape2.variable(sym_params["mix"].copy())
-        y2 = fuse_polynomial(*zs, clones, unshared)
+        y2 = fuse(unshared, clones, *zs)
         ad.backward(tape2, ad.sum_all(ad.mul(y2, y2)))
         summed = sum(clones[f"factor{k}"].grad for k in range(1, p + 1))
         assert np.allclose(shared_grad, summed, rtol=1e-11)
@@ -182,7 +181,7 @@ class TestPolynomialFusion:
         w = np.zeros((d, d, 1))
         w[0, 1, 0] = 1.0  # the (1 x z1) cross term is exactly z1
         zs = [np.array([v]) for v in (2.5, -1.0, 3.0)]
-        y = fuse_polynomial(*zs, {"w_full": w}, spec)
+        y = fuse(spec, {"w_full": w}, *zs)
         assert np.isclose(y[0], 2.5)
 
     def test_guard_on_full_path(self):
@@ -216,7 +215,7 @@ class TestReconstruct:
         zc = np.concatenate(zs)
         zp = np.einsum("i,j,k->ijk", zc, zc, zc)
         y_ref = np.tensordot(zp, w, axes=([0, 1, 2], [0, 1, 2]))
-        y_fac = fuse_polynomial(*zs, params, spec)
+        y_fac = fuse(spec, params, *zs)
         assert np.max(np.abs(y_fac - y_ref)) / np.max(np.abs(y_ref)) < 1e-8
 
     def test_guard(self):

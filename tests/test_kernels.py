@@ -2,10 +2,11 @@
 
 Symmetric PF shares one projection across polynomial positions, batch norm
 reuses its centred input and takes a closed-form backward, Adam updates
-through reused scratch rows, and conv1d multiplies a time-innermost window
-matrix. Each is held here to the straightforward formula it replaced:
-bit-identical where the arithmetic is unchanged, within 1e-12 relative where
-only the summation order moved.
+through reused scratch rows, conv1d multiplies a time-innermost window
+matrix, and one ``fusion.fuse`` replaced the per-kind fusion forwards. Each is
+held here to the straightforward formula it replaced: bit-identical where the
+arithmetic is unchanged, within 1e-12 relative where only the summation order
+moved.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from trifuse import autodiff as ad
 from trifuse import data, fusion, models, ops
-from trifuse.fusion import FusionSpec
+from trifuse.autodiff import value_of
+from trifuse.fusion import MATERIALIZE_LIMIT, FusionSpec, FusionSpecError, MaterializeError
 from trifuse.train import AdamState, adam_step
 
 RTOL = 1e-12
@@ -77,6 +79,189 @@ class TestSymmetricPF:
         # 3 extractors x 6 blocks x (conv, bn, relu) + 3 pools, concat, one shared
         # projection, 2 muls, mix, l2, linear (contract, add), softmax-CE
         assert len(tape.nodes) == 66
+
+
+# ---------------------------------------------------------------------------
+# one fusion forward, against the per-kind forwards it replaced (copied
+# verbatim, renamed old_linear / old_tensor / old_polynomial)
+
+def _as_batch(z):
+    zv = value_of(z)
+    if zv.ndim == 1:
+        return ad.reshape(z, (1, zv.shape[0])), True
+    if zv.ndim == 2:
+        return z, False
+    raise FusionSpecError(f"feature input must be order 1 or 2, got shape {zv.shape}")
+
+
+def _maybe_squeeze(y, single: bool):
+    if not single:
+        return y
+    yv = value_of(y)
+    return ad.reshape(y, yv.shape[1:])
+
+
+def _check_len(z, expected: int, which: str):
+    got = value_of(z).shape[-1]
+    if got != expected:
+        raise FusionSpecError(f"{which} has length {got}, expected {expected}")
+
+
+def old_linear(z1, z2, z3, params):
+    """Concatenate the three feature vectors and apply one weight matrix."""
+    w = params["w"]
+    d = value_of(w).shape[0]
+    z1, s1 = _as_batch(z1)
+    z2, _ = _as_batch(z2)
+    z3, _ = _as_batch(z3)
+    zc = ad.concat_last([z1, z2, z3])
+    if value_of(zc).shape[-1] != d:
+        raise FusionSpecError(
+            f"concatenated length {value_of(zc).shape[-1]} does not match weight rows {d}"
+        )
+    return _maybe_squeeze(ad.matmul(zc, w), s1)
+
+
+def _mixdown(projs, mix):
+    """Elementwise product of [batch, R, O] projections, contracted with mix [R]."""
+    h = projs[0]
+    for pm in projs[1:]:
+        h = ad.mul(h, pm)
+    return ad.contract(h, mix, [1], [0])
+
+
+def _full_chain(t, z, n_remaining: int):
+    """One step of y = sum_i z_i * t[:, i, ...]: multiply broadcast, then sum axis 1."""
+    b, d = value_of(z).shape
+    zr = ad.reshape(z, (b, d) + (1,) * n_remaining)
+    return ad.sum_axis(ad.mul(t, zr), 1)
+
+
+def old_tensor(z1, z2, z3, params, path: str = "factorized"):
+    """Trilinear fusion: outer(z1, z2, z3) contracted with the weight tensor."""
+    z1, s1 = _as_batch(z1)
+    z2, _ = _as_batch(z2)
+    z3, _ = _as_batch(z3)
+    if path == "full":
+        w = params["w_full"]
+        if value_of(w).size > MATERIALIZE_LIMIT:
+            raise MaterializeError(f"full-path weight tensor has {value_of(w).size} entries, over the guard")
+        a, b, c, _o = value_of(w).shape
+        for z, dim, tag in ((z1, a, "z1"), (z2, b, "z2"), (z3, c, "z3")):
+            _check_len(z, dim, tag)
+        t = ad.contract(z1, w, [1], [0])  # [batch, B, C, O]
+        t = _full_chain(t, z2, 2)  # [batch, C, O]
+        t = _full_chain(t, z3, 1)  # [batch, O]
+        return _maybe_squeeze(t, s1)
+    if path != "factorized":
+        raise FusionSpecError(f"unknown path {path!r}")
+    f1, f2, f3, mix = params["factor1"], params["factor2"], params["factor3"], params["mix"]
+    _check_len(z1, value_of(f1).shape[0], "z1")
+    _check_len(z2, value_of(f2).shape[0], "z2")
+    _check_len(z3, value_of(f3).shape[0], "z3")
+    projs = [ad.contract(z, f, [1], [0]) for z, f in ((z1, f1), (z2, f2), (z3, f3))]
+    return _maybe_squeeze(_mixdown(projs, mix), s1)
+
+
+def _old_concat(z1, z2, z3, spec: FusionSpec):
+    z1, s1 = _as_batch(z1)
+    z2, _ = _as_batch(z2)
+    z3, _ = _as_batch(z3)
+    for z, dim, tag in zip((z1, z2, z3), spec.input_dims, ("z1", "z2", "z3")):
+        _check_len(z, dim, tag)
+    parts = [z1, z2, z3]
+    if spec.augment_one:
+        batch = value_of(z1).shape[0]
+        ones = np.ones((batch, 1))
+        parts = [ones] + parts
+    return ad.concat_last(parts), s1
+
+
+def old_polynomial(z1, z2, z3, params, spec: FusionSpec):
+    """Degree-p fusion of the concatenated feature vector."""
+    if spec.kind != "PF":
+        raise FusionSpecError(f"old_polynomial needs a PF spec, got {spec.kind}")
+    zc, s1 = _old_concat(z1, z2, z3, spec)
+    p = spec.order
+    if spec.path == "full":
+        spec.check_materializable("full-path weight tensor")
+        w = params["w_full"]
+        t = ad.contract(zc, w, [1], [0])  # [batch, d^(p-1)..., O]
+        for k in range(2, p + 1):
+            t = _full_chain(t, zc, p - k + 1)
+        return _maybe_squeeze(t, s1)
+    if spec.symmetric:
+        # one shared projection, multiplied by itself p times; backward sums
+        # the p upstream gradients into it before one factor contraction
+        projs = [ad.contract(zc, params["factor"], [1], [0])] * p
+    else:
+        projs = [ad.contract(zc, params[f"factor{k}"], [1], [0]) for k in range(1, p + 1)]
+    return _maybe_squeeze(_mixdown(projs, params["mix"]), s1)
+
+
+def fuse_reference(spec: FusionSpec, params, z1, z2, z3):
+    """Dispatch on the fusion kind; output is the pre-normalization fused vector."""
+    if spec.kind == "LF":
+        return old_linear(z1, z2, z3, params)
+    if spec.kind == "TF":
+        return old_tensor(z1, z2, z3, params, path=spec.path)
+    return old_polynomial(z1, z2, z3, params, spec)
+
+
+def _fusion_specs():
+    """Every valid spec over kind x path x order 1-3 x symmetric x augment_one."""
+    for kind in fusion.KINDS:
+        pf = kind == "PF"
+        for path in fusion.PATHS:
+            for order in (1, 2, 3) if pf else (1,):
+                for symmetric in (False, True) if pf else (False,):
+                    for augment_one in (False, True) if pf else (False,):
+                        yield FusionSpec(kind, (3, 2, 4), 5, rank=3, order=order,
+                                         symmetric=symmetric, path=path, augment_one=augment_one)
+
+
+def _spec_id(s: FusionSpec) -> str:
+    return f"{s.kind}-{s.path}-p{s.order}{'-sym' if s.symmetric else ''}{'-aug' if s.augment_one else ''}"
+
+
+def _traced_fusion(fn, spec, params, zs, upstream):
+    """Output, gradients of every parameter and input, and (name, shape) of every tape node."""
+    tape = ad.Tape()
+    pv = {k: tape.variable(v) for k, v in params.items()}
+    zv = [tape.variable(z) for z in zs]
+    y = fn(spec, pv, *zv)
+    ad.backward(tape, ad.sum_all(ad.mul(y, upstream)))
+    grads = {k: ad.grad_of(v) for k, v in pv.items()} | {f"z{i}": ad.grad_of(v) for i, v in enumerate(zv, 1)}
+    return y.value, grads, [(n.name, n.out.shape) for n in tape.nodes]
+
+
+class TestFuse:
+    @pytest.mark.parametrize("batched", [False, True], ids=["len", "batch-len"])
+    @pytest.mark.parametrize("spec", list(_fusion_specs()), ids=_spec_id)
+    def test_matches_per_kind_forward(self, spec, batched):
+        rng = np.random.default_rng(29)
+        params = fusion.init_fusion_params(spec, rng)
+        params = {k: rng.normal(size=v.shape) for k, v in params.items()}
+        lead = (4,) if batched else ()
+        zs = [rng.normal(size=lead + (d,)) for d in spec.input_dims]
+        upstream = rng.normal(size=lead + (spec.output_dim,))
+        y, grads, nodes = _traced_fusion(fusion.fuse, spec, params, zs, upstream)
+        y_ref, grads_ref, nodes_ref = _traced_fusion(fuse_reference, spec, params, zs, upstream)
+        assert np.array_equal(y, y_ref)
+        assert grads.keys() == grads_ref.keys()
+        for name, g in grads.items():
+            assert np.array_equal(g, grads_ref[name]), name
+        assert nodes == nodes_ref
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_dense_weight_shape_is_checked(self, axis):
+        # a size-1 axis would broadcast through the chained multiply without an error
+        spec = FusionSpec("TF", (3, 3, 3), 2, path="full")
+        shape = [3, 3, 3, 2]
+        shape[axis] = 1
+        zs = [np.ones(3)] * 3
+        with pytest.raises(FusionSpecError):
+            fusion.fuse(spec, {"w_full": np.ones(shape)}, *zs)
 
 
 # ---------------------------------------------------------------------------
