@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     except config.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (data.DataError, train.TrainingDiverged, FloatingPointError, OSError) as exc:
+    except (data.DataError, models.ModelError, train.TrainingDiverged, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

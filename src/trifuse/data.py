@@ -382,6 +382,13 @@ def save_trials_manifest(trials: list[TrialRecording], outdir) -> str:
     return path
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """One pass and no temporary: a NaN or inf makes the sum non-finite, and a
+    finite array whose sum overflows gets the exact elementwise check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(arr.sum()) or np.isfinite(arr).all())
+
+
 def _load_entry_tensor(base: str, entry: dict, key: str, problems: list[str], label: str):
     rel = entry.get(key)
     if not isinstance(rel, str):
@@ -392,10 +399,14 @@ def _load_entry_tensor(base: str, entry: dict, key: str, problems: list[str], la
         problems.append(f"{label}: file {rel} does not exist")
         return None
     try:
-        return load_tensor(path)
+        arr = load_tensor(path)
     except Exception as exc:
         problems.append(f"{label}: file {rel} unreadable ({exc})")
         return None
+    if not _all_finite(arr):
+        problems.append(f"{label}: file {rel} holds non-finite values")
+        return None
+    return arr
 
 
 def load_manifest(path) -> SegmentDataset:

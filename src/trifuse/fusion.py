@@ -22,6 +22,7 @@ the dense tensor from the factors so tests can assert the two paths agree.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -113,21 +114,26 @@ class FusionSpec:
         }
 
 
-def param_count(spec: FusionSpec) -> int:
-    """Exact number of learned fusion parameters for a spec."""
+def param_shapes(spec: FusionSpec) -> dict[str, tuple[int, ...]]:
+    """The shape of every learned fusion parameter, by name."""
     a, b, c = spec.input_dims
     d, o, r, p = spec.concat_dim, spec.output_dim, spec.rank, spec.order
     if spec.kind == "LF":
-        return d * o
-    if spec.kind == "TF":
-        if spec.path == "full":
-            return a * b * c * o
-        return (a + b + c) * r * o + r
+        return {"w": (d, o)}
     if spec.path == "full":
-        return d**p * o
-    if spec.symmetric:
-        return d * r * o + r
-    return p * d * r * o + r
+        return {"w_full": (a, b, c, o) if spec.kind == "TF" else (d,) * p + (o,)}
+    if spec.kind == "TF":
+        shapes = {f"factor{k}": (dim, r, o) for k, dim in enumerate((a, b, c), 1)}
+    elif spec.symmetric:
+        shapes = {"factor": (d, r, o)}
+    else:
+        shapes = {f"factor{k}": (d, r, o) for k in range(1, p + 1)}
+    return {**shapes, "mix": (r,)}
+
+
+def param_count(spec: FusionSpec) -> int:
+    """Exact number of learned fusion parameters for a spec."""
+    return sum(math.prod(shape) for shape in param_shapes(spec).values())
 
 
 def init_fusion_params(spec: FusionSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -198,6 +204,9 @@ def fuse(spec: FusionSpec, params, z1, z2, z3):
         if shape[-1] != dim:
             raise FusionSpecError(f"{tag} has length {shape[-1]}, expected {dim}")
         zs.append(ad.reshape(z, (1, dim)) if len(shape) == 1 else z)
+    for name, want in param_shapes(spec).items():
+        if value_of(params[name]).shape != want:
+            raise FusionSpecError(f"{spec.kind} {name} has shape {value_of(params[name]).shape}, expected {want}")
     if spec.kind == "TF":
         operands = zs
     else:
@@ -207,9 +216,6 @@ def fuse(spec: FusionSpec, params, z1, z2, z3):
         operands = [zc] if spec.kind == "LF" else [zc] * spec.order
     if spec.kind == "LF" or spec.path == "full":
         w = params["w" if spec.kind == "LF" else "w_full"]
-        want = tuple(value_of(z).shape[1] for z in operands) + (spec.output_dim,)
-        if value_of(w).shape != want:
-            raise FusionSpecError(f"{spec.kind} weight has shape {value_of(w).shape}, expected {want}")
         if spec.path == "full":
             spec.check_materializable("full-path weight tensor")
         y = ad.contract(operands[0], w, [1], [0])

@@ -28,9 +28,9 @@ import numpy as np
 from . import autodiff as ad
 from . import ops
 from .autodiff import value_of
-from .fusion import FusionSpec, fuse, init_fusion_params
+from .fusion import FusionSpec, fuse, init_fusion_params, param_shapes as fusion_param_shapes
 from .ops import BatchNormState, conv_out_length
-from .tensor import load_tensor, save_tensor
+from .tensor import ShapeError, load_tensor, save_tensor
 
 MODALITIES = ("eeg", "oxy", "deoxy")
 N_CLASSES = 2
@@ -346,18 +346,51 @@ def checkpoint_digest_problems(indir) -> list[str]:
     return problems
 
 
+def param_shapes(topology: dict) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter that ``ModelGraph`` allocates for a topology."""
+    shapes = {}
+    for m, plan in topology["extractors"].items():
+        in_ch = plan["in_channels"]
+        for i, blk in enumerate(plan["blocks"]):
+            oc = blk["out_channels"]
+            shapes.update({f"{m}.conv{i}.w": (oc, in_ch, blk["filter"]), f"{m}.conv{i}.b": (oc,),
+                           f"{m}.bn{i}.gamma": (oc,), f"{m}.bn{i}.beta": (oc,)})
+            in_ch = oc
+    if topology["fusion"]:
+        spec = FusionSpec(**topology["fusion"])
+        shapes.update({f"fusion.{k}": v for k, v in fusion_param_shapes(spec).items()})
+    dims = topology["head"]["dims"]
+    for name, d_in, d_out in zip(["head"] if topology["fusion"] else ["head1", "head2"], dims, dims[1:]):
+        shapes[f"{name}.w"], shapes[f"{name}.b"] = (d_in, d_out), (d_out,)
+    return shapes
+
+
+def _load_checked(indir, rel: str, want: tuple) -> np.ndarray:
+    try:
+        arr = load_tensor(os.path.join(indir, rel))
+    except ShapeError as exc:
+        raise ModelError(f"checkpoint file {rel} unreadable ({exc})") from None
+    if arr.shape != want:
+        raise ModelError(f"checkpoint file {rel} has shape {arr.shape}, expected {want} for its topology")
+    return arr
+
+
 def load_model(indir) -> ModelGraph:
+    """Load a checkpoint, checking every array against the shape that its
+    topology allocates; raises ``ModelError`` naming the first bad file."""
     with open(os.path.join(indir, "topology.json")) as fh:
         doc = json.load(fh)
-    params = {
-        name: load_tensor(os.path.join(indir, "params", name + ".ten"))
-        for name in doc["params"]
-    }
+    shapes = param_shapes(doc["topology"])
+    bn_names = sorted(k[:-len(".gamma")] for k in shapes if k.endswith(".gamma"))
+    if sorted(doc["params"]) != sorted(shapes) or sorted(doc["batchnorm"]) != bn_names:
+        raise ModelError("checkpoint's parameter or batch-norm names do not match its topology")
+    params = {name: _load_checked(indir, f"params/{name}.ten", shapes[name]) for name in doc["params"]}
     state = {}
     for name, meta in doc["batchnorm"].items():
+        want = shapes[f"{name}.gamma"]
         state[name] = BatchNormState(
-            load_tensor(os.path.join(indir, "state", name + ".mean.ten")),
-            load_tensor(os.path.join(indir, "state", name + ".var.ten")),
+            _load_checked(indir, f"state/{name}.mean.ten", want),
+            _load_checked(indir, f"state/{name}.var.ten", want),
             eps=meta["eps"], momentum=meta["momentum"],
         )
     model = ModelGraph(doc["topology"], params, state)

@@ -8,6 +8,7 @@ float64 (row-major, last index fastest). A scalar is an array of shape ``()``.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from typing import Sequence
 
@@ -65,32 +66,25 @@ def tensor_to_bytes(t: np.ndarray) -> bytes:
     return header + t.astype("<f8").tobytes(order="C")
 
 
-def tensor_from_bytes(raw: bytes) -> np.ndarray:
-    """Inverse of :func:`tensor_to_bytes`."""
-    if len(raw) < 4:
-        raise ShapeError("tensor payload too short for header")
-    (order,) = struct.unpack_from(MAGIC_HEADER_ORDER, raw, 0)
-    offset = 4
-    shape = []
-    for _ in range(order):
-        if offset + 8 > len(raw):
-            raise ShapeError("tensor payload truncated in dimension list")
-        (d,) = struct.unpack_from(MAGIC_HEADER_DIM, raw, offset)
-        shape.append(int(d))
-        offset += 8
-    count = math.prod(shape)  # Python ints: dims whose product overflows int64 must fail the length check
-    expected = offset + 8 * count
-    if len(raw) != expected:
-        raise ShapeError(f"tensor payload has {len(raw)} bytes, expected {expected} for shape {tuple(shape)}")
-    data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-    return data.astype(np.float64).reshape(shape)
-
-
 def save_tensor(path, t: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(tensor_to_bytes(t))
 
 
 def load_tensor(path) -> np.ndarray:
+    """Inverse of :func:`save_tensor`. The header is checked against the file
+    size first, then the payload is read once, straight into the returned array."""
     with open(path, "rb") as fh:
-        return tensor_from_bytes(fh.read())
+        size = os.fstat(fh.fileno()).st_size
+        if size < 4:
+            raise ShapeError("tensor payload too short for header")
+        (order,) = struct.unpack(MAGIC_HEADER_ORDER, fh.read(4))
+        offset = 4 + 8 * order
+        if offset > size:
+            raise ShapeError("tensor payload truncated in dimension list")
+        shape = struct.unpack(f"<{order}Q", fh.read(8 * order))
+        count = math.prod(shape)  # Python ints: dims whose product overflows int64 must fail the length check
+        expected = offset + 8 * count
+        if size != expected:
+            raise ShapeError(f"tensor payload has {size} bytes, expected {expected} for shape {shape}")
+        return np.fromfile(fh, dtype="<f8", count=count).astype(np.float64, copy=False).reshape(shape)

@@ -265,6 +265,9 @@ def _train(model: ModelGraph, dataset: SegmentDataset, split, config: TrainConfi
                 raise TrainingDiverged(epoch, lval)
             ad.backward(tape, loss)
             grads = {k: ad.grad_of(v) for k, v in pvars.items()}
+            # nodes and their Variables point back at the tape: break that cycle so
+            # the step's activations are freed by refcount, not by the cyclic GC
+            tape.nodes.clear()
             adam_step(model.params, grads, adam)
             epoch_loss += lval * len(batch)
         losses.append(epoch_loss / len(order))

@@ -274,13 +274,16 @@ def check_shape_chains() -> tuple[bool, str]:
 # checkpoint verification
 
 def verify_checkpoint(indir) -> tuple[bool, str]:
-    """Digest-check a saved model and check that every parameter and batch-norm
-    running statistic is finite; for factorized fused models also re-run the
-    factorized-vs-reconstructed forward agreement on random probes."""
+    """Load a saved model, digest-check it and check that every parameter and
+    batch-norm running statistic is finite; for factorized fused models also
+    re-run the factorized-vs-reconstructed forward agreement on random probes.
+
+    A checkpoint that does not load (a missing file, or an array whose shape
+    its topology does not allocate) raises instead of returning a result."""
+    model = models.load_model(indir)
     problems = models.checkpoint_digest_problems(indir)
     if problems:
         return False, "; ".join(problems)
-    model = models.load_model(indir)
     arrays = dict(model.params)
     for name, st in model.state.items():
         arrays[f"{name}.running_mean"] = st.running_mean
@@ -343,6 +346,8 @@ def run_checks(name_filter: str | None = None, checkpoint=None) -> list[tuple[st
         if not name_filter or name_filter in name:
             try:
                 passed, detail = verify_checkpoint(checkpoint)
+            except (models.ModelError, OSError):
+                raise  # a checkpoint that does not load is a data error, not a failed check
             except Exception as exc:
                 passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             results.append((name, passed, detail))

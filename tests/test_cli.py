@@ -8,6 +8,7 @@ import pytest
 
 from trifuse import cli, data, models
 from trifuse.cli import main
+from trifuse.tensor import load_tensor, save_tensor
 
 DESK_PF = ["--model", "pf", "--order", "2", "--rank", "4", "--profile", "desk"]
 
@@ -121,6 +122,19 @@ class TestTrainCommand:
         assert run("verify", "--filter", "checkpoint",
                    "--checkpoint", str(out / "checkpoint")) == 1
 
+    def test_non_finite_input_is_data_error(self, synth_manifest, tmp_path, capsys):
+        # a NaN in a held-out segment used to be scored as a prediction
+        oxy_path = synth_manifest.parent / "oxy.ten"
+        oxy = load_tensor(oxy_path)
+        oxy[-1, 0, 0] = np.nan
+        save_tensor(oxy_path, oxy)
+        out = tmp_path / "run"
+        assert run("train", "--data", str(synth_manifest), *DESK_PF,
+                   "--epochs", "1", "--k", "4", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "oxy.ten holds non-finite values" in err
+        assert not out.exists()
+
     def test_failed_swap_keeps_previous_artifacts(self, synth_manifest, tmp_path, monkeypatch, capsys):
         out = tmp_path / "run"
         args = ["train", "--data", str(synth_manifest), *DESK_PF, "--epochs", "1", "--k", "4",
@@ -212,6 +226,22 @@ class TestVerifyCommand:
         models.save_model(model, tmp_path / "ckpt")
         assert run("verify", "--filter", "checkpoint", "--checkpoint", str(tmp_path / "ckpt")) == 1
         assert victim in capsys.readouterr().out
+
+
+    def test_wrong_shaped_factor_is_data_error(self, tmp_path, capsys):
+        # a size-1 factor axis would load and broadcast to finite logits
+        model = models.build_from_spec({"type": "fused", "profile": "desk",
+                                        "fusion": {"kind": "TF", "rank": 16, "output_dim": 16}})
+        models.save_model(model, tmp_path / "ckpt")
+        victim = tmp_path / "ckpt" / "params" / "fusion.factor2.ten"
+        factor = load_tensor(victim)
+        assert factor.shape == (24, 16, 16)
+        save_tensor(victim, factor[:, :, :1])
+        assert run("verify", "--filter", "checkpoint", "--checkpoint", str(tmp_path / "ckpt")) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "fusion.factor2.ten has shape (24, 16, 1), expected (24, 16, 16)" in captured.err
 
 
 class TestParamsCommand:

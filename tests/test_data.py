@@ -238,6 +238,28 @@ class TestManifests:
         with pytest.raises(data.ManifestError, match="duplicate trial_id"):
             data.load_manifest(tmp_path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_segments_payload_rejected(self, tmp_path, bad):
+        ds = data.synth_dataset(data.SynthSpec("additive", n_trials=4), seed=7)
+        ds.oxy[3, 5, 7] = bad
+        data.save_segments_manifest(ds, tmp_path)
+        with pytest.raises(data.ManifestError) as err:
+            data.load_manifest(tmp_path)
+        assert err.value.problems == ["arrays: file oxy.ten holds non-finite values"]
+
+    def test_non_finite_trials_payload_rejected(self, tmp_path):
+        trials = [make_trial(trial_id=i, label=i % 2, seed=i) for i in range(2)]
+        trials[1].eeg[0, 0] = np.nan
+        data.save_trials_manifest(trials, tmp_path)
+        with pytest.raises(data.ManifestError, match="trial0001_eeg.ten holds non-finite values"):
+            data.load_manifest(tmp_path)
+
+    def test_finite_payload_whose_sum_overflows_loads(self, tmp_path):
+        ds = data.synth_dataset(data.SynthSpec("additive", n_trials=4), seed=7)
+        ds.eeg[:] = np.finfo(np.float64).max
+        data.save_segments_manifest(ds, tmp_path)
+        assert np.array_equal(data.load_manifest(tmp_path).eeg, ds.eeg)
+
     def test_unknown_kind(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"kind": "mystery"}))
         with pytest.raises(data.ManifestError, match="unknown manifest kind"):

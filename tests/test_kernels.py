@@ -3,18 +3,25 @@
 Symmetric PF shares one projection across polynomial positions, batch norm
 reuses its centred input and takes a closed-form backward, Adam updates
 through reused scratch rows, conv1d multiplies a time-innermost window
-matrix, and one ``fusion.fuse`` replaced the per-kind fusion forwards. Each is
+matrix, one ``fusion.fuse`` replaced the per-kind fusion forwards, and
+``load_tensor`` reads a payload once instead of as bytes plus a copy. Each is
 held here to the straightforward formula it replaced: bit-identical where the
 arithmetic is unchanged, within 1e-12 relative where only the summation order
 moved.
 """
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import as_strided
 
 from trifuse import autodiff as ad
 from trifuse import data, fusion, models, ops
+from trifuse import tensor as tc
 from trifuse.autodiff import value_of
 from trifuse.fusion import MATERIALIZE_LIMIT, FusionSpec, FusionSpecError, MaterializeError
 from trifuse.train import AdamState, adam_step
@@ -262,6 +269,19 @@ class TestFuse:
         zs = [np.ones(3)] * 3
         with pytest.raises(FusionSpecError):
             fusion.fuse(spec, {"w_full": np.ones(shape)}, *zs)
+
+    @pytest.mark.parametrize("spec, name, shape", [
+        (FusionSpec("TF", (3, 4, 5), 2, rank=3), "factor2", (4, 3, 1)),
+        (FusionSpec("TF", (3, 4, 5), 2, rank=3), "mix", (1,)),
+        (FusionSpec("PF", (3, 4, 5), 2, rank=3, order=2, symmetric=True), "factor", (12, 1, 2)),
+        (FusionSpec("PF", (3, 4, 5), 2, rank=3, order=2), "factor1", (1, 3, 2)),
+    ], ids=["tf-factor2", "tf-mix", "pf-sym-factor", "pf-factor1"])
+    def test_factor_shape_is_checked(self, spec, name, shape):
+        # like a dense weight, a size-1 factor axis would broadcast through _mixdown
+        params = fusion.init_fusion_params(spec, np.random.default_rng(0)) | {name: np.ones(shape)}
+        zs = [np.ones(d) for d in spec.input_dims]
+        with pytest.raises(FusionSpecError, match=name):
+            fusion.fuse(spec, params, *zs)
 
 
 # ---------------------------------------------------------------------------
@@ -515,3 +535,101 @@ class TestAdam:
         params = {"a": np.ones(4), "b": np.ones(2)}
         with pytest.raises(FloatingPointError, match="'b'"):
             adam_step(params, {"a": np.ones(4), "b": np.array([1.0, np.inf])}, AdamState())
+
+
+# ---------------------------------------------------------------------------
+# .ten loader: one read into the returned array, against the bytes-then-copy
+# path it replaced (copied verbatim, renamed old_tensor_from_bytes)
+
+def old_tensor_from_bytes(raw: bytes) -> np.ndarray:
+    """Inverse of :func:`tensor_to_bytes`."""
+    if len(raw) < 4:
+        raise tc.ShapeError("tensor payload too short for header")
+    (order,) = struct.unpack_from(tc.MAGIC_HEADER_ORDER, raw, 0)
+    offset = 4
+    shape = []
+    for _ in range(order):
+        if offset + 8 > len(raw):
+            raise tc.ShapeError("tensor payload truncated in dimension list")
+        (d,) = struct.unpack_from(tc.MAGIC_HEADER_DIM, raw, offset)
+        shape.append(int(d))
+        offset += 8
+    count = math.prod(shape)  # Python ints: dims whose product overflows int64 must fail the length check
+    expected = offset + 8 * count
+    if len(raw) != expected:
+        raise tc.ShapeError(f"tensor payload has {len(raw)} bytes, expected {expected} for shape {tuple(shape)}")
+    data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+    return data.astype(np.float64).reshape(shape)
+
+
+def old_load_tensor(path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        return old_tensor_from_bytes(fh.read())
+
+
+def _outcome(load, path):
+    """The array a loader returns, or the ShapeError message it raises."""
+    try:
+        return load(path)
+    except tc.ShapeError as exc:
+        return str(exc)
+
+
+def _check_same_outcome(path):
+    new, old = _outcome(tc.load_tensor, path), _outcome(old_load_tensor, path)
+    if isinstance(old, str):
+        assert new == old
+        return
+    assert isinstance(new, np.ndarray) and new.dtype == np.float64
+    assert new.shape == old.shape and np.array_equal(new, old, equal_nan=True)
+    assert new.flags["C_CONTIGUOUS"] and new.flags["WRITEABLE"]
+
+
+def _header(*dims):
+    return struct.pack("<I", len(dims)) + b"".join(struct.pack("<Q", d) for d in dims)
+
+
+BAD_FILES = {
+    "empty": b"",
+    "short-header": b"\x01\x00",
+    "truncated-dims": _header(3, 4)[:10],
+    "truncated-payload": _header(2, 2) + b"\x00" * 24,
+    "padded": _header(2, 2) + b"\x00" * 40,
+    "order-0-no-payload": _header(),
+    "order-99": struct.pack("<I", 99) + b"\x00" * 64,
+    "zero-dim-with-payload": _header(0, 3) + b"\x00" * 8,
+    "overflowing-dims": _header(2**32, 2**32),
+}
+
+
+class TestLoadTensor:
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0, 2), (7,), (2, 3, 4), (5, 30, 600)],
+                             ids=["0d", "zero-size", "zero-size-3d", "1d", "3d", "segments"])
+    def test_matches_old_loader(self, tmp_path, shape):
+        path = tmp_path / "t.ten"
+        tc.save_tensor(path, np.random.default_rng(1).normal(size=shape))
+        _check_same_outcome(path)
+
+    @pytest.mark.parametrize("raw", BAD_FILES.values(), ids=list(BAD_FILES))
+    def test_bad_files_same_error(self, tmp_path, raw):
+        path = tmp_path / "t.ten"
+        path.write_bytes(raw)
+        with pytest.raises(tc.ShapeError):
+            tc.load_tensor(path)
+        _check_same_outcome(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.binary(max_size=200))
+    def test_arbitrary_bytes_raise_only_shape_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("ten") / "t.ten"
+        path.write_bytes(raw)
+        _check_same_outcome(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dims=st.lists(st.integers(0, 4), max_size=4), extra=st.integers(-16, 16), fill=st.binary(max_size=1))
+    def test_near_valid_files_match_old_loader(self, tmp_path_factory, dims, extra, fill):
+        # a well-formed header with a payload a few bytes off its length, or exact
+        length = max(8 * math.prod(dims) + extra, 0)
+        path = tmp_path_factory.mktemp("ten") / "t.ten"
+        path.write_bytes(_header(*dims) + (fill or b"\x3f") * length)
+        _check_same_outcome(path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trifuse import models, ops
+from trifuse.tensor import load_tensor, save_tensor
 
 
 class TestExtractorGeometry:
@@ -143,7 +144,46 @@ class TestBuildFromSpec:
             models.build_from_spec({"type": "stacked"})
 
 
+SHAPE_SPECS = {
+    "single-eeg": {"type": "single", "modality": "eeg", "profile": "desk"},
+    "lf": {"type": "fused", "profile": "desk", "fusion": {"kind": "LF", "output_dim": 8}},
+    "tf": {"type": "fused", "profile": "desk", "fusion": {"kind": "TF", "rank": 3, "output_dim": 8}},
+    "tf-full": {"type": "fused", "profile": "desk", "fusion": {"kind": "TF", "output_dim": 2, "path": "full"}},
+    "pf3-sym": {"type": "fused", "profile": "desk",
+                "fusion": {"kind": "PF", "order": 3, "rank": 4, "symmetric": True, "output_dim": 8}},
+    "pf2-full": {"type": "fused", "profile": "desk",
+                 "fusion": {"kind": "PF", "order": 2, "output_dim": 2, "path": "full"}},
+    "pf2-aug": {"type": "fused", "profile": "desk",
+                "fusion": {"kind": "PF", "order": 2, "rank": 4, "augment_one": True, "output_dim": 8}},
+}
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("spec", SHAPE_SPECS.values(), ids=list(SHAPE_SPECS))
+    def test_param_shapes_match_allocation(self, spec):
+        model = models.build_from_spec(spec)
+        assert models.param_shapes(model.topology) == {k: v.shape for k, v in model.params.items()}
+
+    @pytest.mark.parametrize("rel", ["params/fusion.factor2.ten", "params/fusion.mix.ten",
+                                     "params/oxy.conv1.w.ten", "params/head.b.ten",
+                                     "state/deoxy.bn2.var.ten"])
+    def test_wrong_shape_rejected(self, tmp_path, rel):
+        model = models.build_from_spec(SHAPE_SPECS["tf"])
+        models.save_model(model, tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / rel
+        save_tensor(path, load_tensor(path)[..., :1])
+        with pytest.raises(models.ModelError, match=f"checkpoint file {rel} has shape"):
+            models.load_model(tmp_path / "ckpt")
+
+    def test_unreadable_file_rejected(self, tmp_path):
+        model = models.build_from_spec(SHAPE_SPECS["single-eeg"])
+        models.save_model(model, tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "params" / "head2.w.ten"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(models.ModelError, match="head2.w.ten unreadable"):
+            models.load_model(tmp_path / "ckpt")
+
+
     def test_roundtrip_preserves_forward(self, tmp_path):
         rng = np.random.default_rng(5)
         spec = {"kind": "PF", "output_dim": 8, "rank": 4, "order": 2, "symmetric": True}

@@ -100,20 +100,26 @@ class TestLayoutAndSerialization:
             assert back.shape == t.shape
             assert back.tobytes() == t.tobytes()
 
-    def test_scalar_representable(self):
+    def test_scalar_representable(self, tmp_path):
         t = tc.as_tensor(7.5)
         assert t.shape == () and t.size == 1
-        assert tc.tensor_from_bytes(tc.tensor_to_bytes(t)) == 7.5
+        path = tmp_path / "s.ten"
+        path.write_bytes(tc.tensor_to_bytes(t))
+        assert tc.load_tensor(path) == 7.5
 
-    def test_truncated_payload_rejected(self):
+    def test_truncated_payload_rejected(self, tmp_path):
         raw = tc.tensor_to_bytes(np.ones((2, 2)))
+        path = tmp_path / "t.ten"
+        path.write_bytes(raw[:-8])
         with pytest.raises(tc.ShapeError):
-            tc.tensor_from_bytes(raw[:-8])
+            tc.load_tensor(path)
+        path.write_bytes(raw[:10])
         with pytest.raises(tc.ShapeError):
-            tc.tensor_from_bytes(raw[:10])
+            tc.load_tensor(path)
 
-    def test_overflowing_dims_fail_length_check(self):
+    def test_overflowing_dims_fail_length_check(self, tmp_path):
         # 2**32 * 2**32 wraps to 0 in int64; the element count must not
-        raw = struct.pack("<I", 2) + struct.pack("<Q", 2**32) * 2
+        path = tmp_path / "t.ten"
+        path.write_bytes(struct.pack("<I", 2) + struct.pack("<Q", 2**32) * 2)
         with pytest.raises(tc.ShapeError, match="expected"):
-            tc.tensor_from_bytes(raw)
+            tc.load_tensor(path)

@@ -1,11 +1,14 @@
 """Adam behavior, training loop guarantees, cross-validation reports."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from trifuse import data, models, train
+from trifuse import autodiff as ad
+from trifuse import data, models, ops, train
 from trifuse.train import AdamState, TrainConfig, adam_step
 
 
@@ -16,6 +19,8 @@ def small_dataset(generator="additive", n_trials=16, segments_per_trial=1, seed=
 
 
 OXY_SPEC = {"type": "single", "modality": "oxy", "profile": "desk"}
+PF3_DESK = {"type": "fused", "profile": "desk",
+            "fusion": {"kind": "PF", "order": 3, "rank": 16, "symmetric": True, "output_dim": 16}}
 
 
 class TestAdam:
@@ -117,6 +122,44 @@ class TestTrainLoop:
         fp = {"note": "unit", "seed": 0}
         report = train.train(model, ds, (idx[:12], idx[12:]), TrainConfig(epochs=1), fingerprint=fp)
         assert report.to_dict()["fingerprint"] == fp
+
+
+class TestTapeRelease:
+    def test_step_tapes_freed_without_gc(self, monkeypatch):
+        # every Variable points at its tape and the tape lists its nodes; train
+        # must break that cycle so a step's activations go by refcount alone
+        tapes = []
+
+        class RecordedTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(ad, "Tape", RecordedTape)
+        ds = small_dataset(n_trials=12)
+        model = models.build_from_spec(PF3_DESK, seed=0)
+        idx = np.arange(len(ds))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train.train(model, ds, (idx[:9], idx[9:]), TrainConfig(epochs=2, batch_size=4))
+            alive = sum(ref() is not None for ref in tapes)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(tapes) == 4  # 2 epochs x 2 batches (9 samples at batch 4, trailing singleton merged)
+        assert alive == 0
+
+    def test_nodes_readable_after_backward_on_own_tape(self):
+        # backward leaves the tape intact: a caller that owns it can still walk it
+        ds = small_dataset()
+        model = models.build_from_spec(PF3_DESK, seed=0)
+        tape = ad.Tape()
+        pvars = {k: tape.variable(v) for k, v in model.params.items()}
+        logits = model.forward((ds.eeg[:4], ds.oxy[:4], ds.deoxy[:4]), pvars)
+        ad.backward(tape, ops.softmax_crossentropy(logits, ds.labels[:4]))
+        assert len(tape.nodes) == 66
+        assert all(ad.grad_of(v).shape == v.shape for v in pvars.values())
 
 
 class TestCrossValidation:
