@@ -49,7 +49,7 @@ print(f"conv/batchnorm/pool chain: max relative gradient error {err:.2e}")
 
 # 3. a whole tiny fused classifier end to end
 spec = {"kind": "PF", "output_dim": 8, "rank": 4, "order": 3, "symmetric": True}
-model = models.build_tiny_fused(spec, seed=2)
+model = models.build_from_spec({"type": "fused", "fusion": spec}, seed=2, plans=models.TINY_PLANS)
 inputs = models.tiny_inputs(rng, batch=2)
 labels = np.array([0, 1])
 

@@ -187,25 +187,6 @@ def mul(a, b):
     return tape.record("mul", out, (va, vb), backward_fn)
 
 
-def scale(a, c: float):
-    out = value_of(a) * c
-    if not is_variable(a):
-        return out
-
-    def backward_fn(g):
-        return (g * c,)
-
-    return a.tape.record("scale", out, (a,), backward_fn)
-
-
-def neg(a):
-    return scale(a, -1.0)
-
-
-def sub(a, b):
-    return add(a, neg(b) if is_variable(b) else -value_of(b))
-
-
 def sum_all(a):
     out = value_of(a).sum()
     if not is_variable(a):

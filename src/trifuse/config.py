@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__, models
-from .data import SegmentDataset, SynthSpec, load_manifest, synth_dataset
+from .data import DataError, SegmentDataset, SynthSpec, load_manifest, synth_dataset
 from .fusion import FusionSpecError, MaterializeError
 from .train import TrainConfig
 
@@ -28,8 +28,8 @@ class ConfigError(ValueError):
 TOP_KEYS = {"task", "data", "model", "train", "cv", "profile", "seed", "out", "jobs"}
 DATA_KEYS = {"synth", "manifest", "seed", "shuffle_labels"}
 SYNTH_KEYS = {"generator", "n_trials", "segments_per_trial", "noise", "n_subjects"}
-MODEL_KEYS = {"type", "modality", "fusion", "l2_normalize"}
-FUSION_KEYS = {"kind", "output_dim", "rank", "order", "symmetric", "path", "augment_one"}
+MODEL_KEYS = set(models.SPEC_KEYS) - {"profile"}
+FUSION_KEYS = set(models.FUSION_KEYS)
 TRAIN_KEYS = {"epochs", "batch_size", "lr", "beta1", "beta2", "eps", "shuffle", "eval_batch", "trial_vote"}
 CV_KEYS = {"k"}
 
@@ -49,9 +49,18 @@ def _check_keys(doc: dict, allowed: set, where: str):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
 
 
-def _positive_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{where} must be an integer >= 1, got {value!r}")
+def _int(value, low: int, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{where} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+TYPE_NAMES = {str: "a string", bool: "true or false", dict: "a JSON object"}
+
+
+def _typed(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where} must be {TYPE_NAMES[kind]}, got {value!r}")
     return value
 
 
@@ -82,29 +91,18 @@ class RunConfig:
 
 
 def _validate_model(model: dict, profile: str) -> dict:
+    """Unknown keys and the profile's default ``output_dim`` here, the rest in ``models.topology``."""
     _check_keys(model, MODEL_KEYS, "model")
-    kind = model.get("type")
-    if kind == "single":
-        if model.get("modality") not in ("eeg", "oxy", "deoxy"):
-            raise ConfigError("single model needs modality eeg|oxy|deoxy")
-        return {"type": "single", "modality": model["modality"], "profile": profile}
-    if kind == "fused":
-        fusion = dict(model.get("fusion") or {})
-        _check_keys(fusion, FUSION_KEYS, "model.fusion")
-        if fusion.get("kind") not in ("LF", "TF", "PF"):
-            raise ConfigError("model.fusion.kind must be LF, TF or PF")
-        fusion.setdefault("output_dim", PROFILE_DEFAULTS[profile]["output_dim"])
-        try:
-            fusion_spec = models.make_fusion_spec(fusion, models.extractor_plans(profile))
-            if fusion_spec.path == "full":
-                fusion_spec.check_materializable()
-        except (FusionSpecError, MaterializeError) as exc:
-            raise ConfigError(f"model.fusion: {exc}") from None
-        spec = {"type": "fused", "profile": profile, "fusion": fusion}
-        if "l2_normalize" in model:
-            spec["l2_normalize"] = bool(model["l2_normalize"])
-        return spec
-    raise ConfigError(f"model.type must be 'single' or 'fused', got {kind!r}")
+    spec = {**model, "profile": profile}
+    if isinstance(model.get("fusion"), dict):
+        _check_keys(model["fusion"], FUSION_KEYS, "model.fusion")
+        spec["fusion"] = {**model["fusion"]}
+        spec["fusion"].setdefault("output_dim", PROFILE_DEFAULTS[profile]["output_dim"])
+    try:
+        models.topology(spec)
+    except (models.ModelError, FusionSpecError, MaterializeError) as exc:
+        raise ConfigError(f"model: {exc}") from None
+    return spec
 
 
 def resolve(path: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -128,30 +126,42 @@ def resolve(path: str | None = None, overrides: dict | None = None) -> RunConfig
     profile = merged.get("profile", "full")
     if profile not in PROFILES:
         raise ConfigError(f"profile must be one of {PROFILES}, got {profile!r}")
+    seed = _int(merged.get("seed", 0), 0, "seed")
+    task = _typed(merged.get("task", "run"), str, "task")
+    out = merged.get("out") or os.environ.get("TRIFUSE_OUT")
+    if out is not None:
+        _typed(out, str, "out")
 
-    data = dict(merged.get("data") or {})
-    _check_keys(data, DATA_KEYS, "data")
+    data = dict(_typed(merged.get("data") or {}, dict, "data"))
     for key in ("manifest", "synth", "shuffle_labels"):
         if key in overrides:
             data[key] = overrides[key]
+    _check_keys(data, DATA_KEYS, "data")
+    _int(data.get("seed", 0), 0, "data.seed")
+    for key, kind in (("manifest", str), ("shuffle_labels", bool), ("synth", dict)):
+        if key in data:
+            _typed(data[key], kind, f"data.{key}")
     if "synth" in data:
-        _check_keys(dict(data["synth"]), SYNTH_KEYS, "data.synth")
+        _check_keys(data["synth"], SYNTH_KEYS, "data.synth")
+        try:
+            SynthSpec(**{"generator": None, "n_trials": None, **data["synth"]}).validate()
+        except DataError as exc:
+            raise ConfigError(f"data.synth: {exc}") from None
 
-    model_doc = dict(merged.get("model") or {})
+    model_doc = dict(_typed(merged.get("model") or {}, dict, "model"))
     if "model" in overrides:
         model_doc = overrides["model"]
     model_spec = _validate_model(model_doc, profile) if model_doc else {}
 
-    train_doc = dict(merged.get("train") or {})
+    train_doc = dict(_typed(merged.get("train") or {}, dict, "train"))
     _check_keys(train_doc, TRAIN_KEYS, "train")
     train_doc.setdefault("epochs", PROFILE_DEFAULTS[profile]["epochs"])
     for key in TRAIN_KEYS:
         if key in overrides:
             train_doc[key] = overrides[key]
-    train_cfg = TrainConfig(seed=int(merged.get("seed", 0)), **train_doc)
-    _positive_int(train_cfg.epochs, "train.epochs")
-    _positive_int(train_cfg.batch_size, "train.batch_size")
-    _positive_int(train_cfg.eval_batch, "train.eval_batch")
+    train_cfg = TrainConfig(seed=seed, **train_doc)
+    for key in ("epochs", "batch_size", "eval_batch"):
+        _int(getattr(train_cfg, key), 1, f"train.{key}")
     for key in ("lr", "eps"):
         value = getattr(train_cfg, key)
         if not _is_number(value) or not 0 < value < math.inf:
@@ -160,17 +170,17 @@ def resolve(path: str | None = None, overrides: dict | None = None) -> RunConfig
         value = getattr(train_cfg, key)
         if not _is_number(value) or not 0 <= value < 1:
             raise ConfigError(f"train.{key} must be a number in [0, 1), got {value!r}")
+    for key in ("shuffle", "trial_vote"):
+        _typed(getattr(train_cfg, key), bool, f"train.{key}")
 
-    cv_doc = dict(merged.get("cv") or {})
+    cv_doc = dict(_typed(merged.get("cv") or {}, dict, "cv"))
     _check_keys(cv_doc, CV_KEYS, "cv")
-    k = int(overrides["k"] if "k" in overrides else cv_doc.get("k", 5))
-    if k < 2:
-        raise ConfigError(f"k must be at least 2 folds, got {k}")
+    k = overrides["k"] if "k" in overrides else cv_doc.get("k", 5)
+    if isinstance(k, bool) or not isinstance(k, int) or k < 2:
+        raise ConfigError(f"k must be at least 2 folds, got {k!r}")
 
-    out = merged.get("out") or os.environ.get("TRIFUSE_OUT")
     return RunConfig(
-        task=str(merged.get("task", "run")), profile=profile,
-        seed=int(merged.get("seed", 0)), jobs=_positive_int(merged.get("jobs", 1), "jobs"),
+        task=task, profile=profile, seed=seed, jobs=_int(merged.get("jobs", 1), 1, "jobs"),
         k=k, out=out, data=data, model=model_spec, train=train_cfg,
     )
 

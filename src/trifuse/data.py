@@ -45,7 +45,7 @@ class ManifestError(DataError):
 
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
-        super().__init__("manifest validation failed:\n" + "\n".join(f"- {p}" for p in self.problems))
+        super().__init__("manifest validation failed: " + "; ".join(self.problems))
 
 
 @dataclass
@@ -202,14 +202,17 @@ class SynthSpec:
     n_subjects: int = 1
 
     def validate(self):
+        counts = (self.n_trials, self.segments_per_trial, self.n_subjects)
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in counts):
+            raise DataError(f"n_trials, segments_per_trial and n_subjects must be integers, got {counts}")
+        if isinstance(self.noise, bool) or not isinstance(self.noise, (int, float)) or not 0 <= self.noise < np.inf:
+            raise DataError(f"noise must be a finite number >= 0, got {self.noise!r}")
         if self.generator not in GENERATORS:
             raise DataError(f"generator must be one of {GENERATORS}, got {self.generator!r}")
         if self.n_trials < 2:
             raise DataError("n_trials must be >= 2")
         if not 1 <= self.segments_per_trial <= SEGMENTS_PER_TRIAL:
             raise DataError(f"segments_per_trial must be in 1..{SEGMENTS_PER_TRIAL}")
-        if self.noise < 0:
-            raise DataError("noise must be >= 0")
         if self.n_subjects < 1 or self.n_subjects > self.n_trials:
             raise DataError("n_subjects must be in 1..n_trials")
 
@@ -422,6 +425,8 @@ def load_manifest(path) -> SegmentDataset:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ManifestError([f"manifest is not valid JSON: {exc}"]) from None
+    if not isinstance(doc, dict):
+        raise ManifestError(["manifest must hold a JSON object"])
     base = os.path.dirname(os.path.abspath(path))
     kind = doc.get("kind")
     if kind == "segments":
@@ -431,12 +436,33 @@ def load_manifest(path) -> SegmentDataset:
     raise ManifestError([f"unknown manifest kind {kind!r}"])
 
 
+def _entry_ok(entry, label: str, ints: tuple[str, ...], problems: list[str]) -> bool:
+    """Whether a manifest entry is an object whose ``ints`` fields (where present)
+    are 64-bit integers and whose ``subject`` is a string; problems are appended."""
+    if not isinstance(entry, dict):
+        problems.append(f"{label}: entry must be an object, got {entry!r}")
+        return False
+    wrong = [(k, "an integer") for k in ints
+             if type(v := entry.get(k, 0)) is not int or not -2**63 <= v < 2**63]
+    wrong += [] if isinstance(entry.get("subject", ""), str) else [("subject", "a string")]
+    problems.extend(f"{label}: {k} must be {what}, got {entry[k]!r}" for k, what in wrong)
+    return not wrong
+
+
+def _field(doc: dict, key: str, kind: type, problems: list[str]):
+    """``doc[key]``, or an empty ``kind`` when it is absent or (a problem) not a ``kind``."""
+    value = doc.get(key, kind())
+    if not isinstance(value, kind):
+        problems.append(f"{key} must be a JSON {'object' if kind is dict else 'array'}, got {value!r}")
+        return kind()
+    return value
+
+
 def _load_segments(base: str, doc: dict) -> SegmentDataset:
     problems: list[str] = []
-    arrays = {}
-    for name in ("eeg", "oxy", "deoxy"):
-        arrays[name] = _load_entry_tensor(base, doc.get("arrays", {}), name, problems, "arrays")
-    metas = doc.get("segments", [])
+    refs = _field(doc, "arrays", dict, problems)
+    arrays = {name: _load_entry_tensor(base, refs, name, problems, "arrays") for name in ("eeg", "oxy", "deoxy")}
+    metas = _field(doc, "segments", list, problems)
     n = len(metas)
     for name, arr in arrays.items():
         if arr is None:
@@ -446,14 +472,16 @@ def _load_segments(base: str, doc: dict) -> SegmentDataset:
             problems.append(f"arrays: {name} has shape {arr.shape}, expected {want}")
     labels, tids, offs, subjects = [], [], [], []
     for i, meta in enumerate(metas):
+        if not _entry_ok(meta, f"segment {i}", ("trial_id", "offset"), problems):
+            continue
         lab = meta.get("label")
         if lab not in (0, 1):
             problems.append(f"segment {i}: unknown label {lab!r}")
             lab = 0
         labels.append(lab)
-        tids.append(int(meta.get("trial_id", -1)))
-        offs.append(int(meta.get("offset", 0)))
-        subjects.append(str(meta.get("subject", "s00")))
+        tids.append(meta.get("trial_id", -1))
+        offs.append(meta.get("offset", 0))
+        subjects.append(meta.get("subject", "s00"))
     if problems:
         raise ManifestError(problems)
     return SegmentDataset(
@@ -467,8 +495,10 @@ def _load_trials(base: str, doc: dict) -> SegmentDataset:
     problems: list[str] = []
     segments: list[ModalSegment] = []
     seen_ids: set[int] = set()
-    for i, entry in enumerate(doc.get("trials", [])):
+    for i, entry in enumerate(_field(doc, "trials", list, problems)):
         label_tag = f"trial entry {i}"
+        if not _entry_ok(entry, label_tag, ("trial_id", "onset_sample"), problems):
+            continue
         tid = entry.get("trial_id")
         if tid is None:
             problems.append(f"{label_tag}: missing trial_id")
@@ -488,8 +518,8 @@ def _load_trials(base: str, doc: dict) -> SegmentDataset:
         if eeg is None or oxy is None or deoxy is None:
             continue
         rec = TrialRecording(
-            trial_id=int(tid), subject=str(entry.get("subject", "s00")), task=entry.get("task", "MI"),
-            label=int(lab), eeg=eeg, oxy=oxy, deoxy=deoxy, onset_sample=int(entry.get("onset_sample", 0)),
+            trial_id=tid, subject=entry.get("subject", "s00"), task=entry.get("task", "MI"),
+            label=int(lab), eeg=eeg, oxy=oxy, deoxy=deoxy, onset_sample=entry.get("onset_sample", 0),
         )
         try:
             segments.extend(segment_trial(rec))

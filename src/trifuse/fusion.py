@@ -95,8 +95,11 @@ class FusionSpec:
         return self.concat_dim**self.order * self.output_dim
 
     def check_materializable(self, what: str = "full weight tensor") -> None:
-        n = self.full_entries()
-        if n > MATERIALIZE_LIMIT:
+        # concat_dim >= 3, so a PF order past the guard's bit length is over it;
+        # the exact count would be a huge power
+        huge = self.kind == "PF" and self.order >= MATERIALIZE_LIMIT.bit_length()
+        n = f"{self.concat_dim}**{self.order} x {self.output_dim}" if huge else self.full_entries()
+        if huge or n > MATERIALIZE_LIMIT:
             raise MaterializeError(
                 f"{what} for {self.kind} would hold {n} entries, over the {MATERIALIZE_LIMIT} guard"
             )
@@ -137,38 +140,28 @@ def param_count(spec: FusionSpec) -> int:
 
 
 def init_fusion_params(spec: FusionSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Fresh parameter tensors.
+    """Fresh parameter tensors, one per ``param_shapes`` entry, drawn in its order.
 
     Factor entries are uniform with scale ``(1/dim)^(1/p)`` so the p-fold
     product of projections stays bounded at init; the mixing vector starts at
     1/R, making the rank dimension an average.
     """
     a, b, c = spec.input_dims
-    d, o, r = spec.concat_dim, spec.output_dim, spec.rank
+    d, r, p = spec.concat_dim, spec.rank, spec.order
     if spec.path == "full":
         spec.check_materializable()
     if spec.kind == "LF":
         s = (1.0 / d) ** 0.5
-        return {"w": rng.uniform(-s, s, size=(d, o))}
-    if spec.kind == "TF":
-        if spec.path == "full":
-            s = (1.0 / (a * b * c)) ** 0.5
-            return {"w_full": rng.uniform(-s, s, size=(a, b, c, o))}
-        params = {}
-        for name, dim in (("factor1", a), ("factor2", b), ("factor3", c)):
-            s = (1.0 / dim) ** (1.0 / 3.0)
-            params[name] = rng.uniform(-s, s, size=(dim, r, o))
-        params["mix"] = np.full(r, 1.0 / r)
-        return params
-    p = spec.order
-    if spec.path == "full":
-        s = (1.0 / d) ** (p / 2.0)
-        return {"w_full": rng.uniform(-s, s, size=(d,) * p + (o,))}
-    s = (1.0 / d) ** (1.0 / p)
-    if spec.symmetric:
-        return {"factor": rng.uniform(-s, s, size=(d, r, o)), "mix": np.full(r, 1.0 / r)}
-    params = {f"factor{k}": rng.uniform(-s, s, size=(d, r, o)) for k in range(1, p + 1)}
-    params["mix"] = np.full(r, 1.0 / r)
+    elif spec.path == "full":
+        s = (1.0 / (a * b * c)) ** 0.5 if spec.kind == "TF" else (1.0 / d) ** (p / 2.0)
+    params = {}
+    for name, shape in param_shapes(spec).items():
+        if name == "mix":
+            params[name] = np.full(r, 1.0 / r)
+            continue
+        if name.startswith("factor"):  # shape [dim, R, O]
+            s = (1.0 / shape[0]) ** (1.0 / 3.0) if spec.kind == "TF" else (1.0 / d) ** (1.0 / p)
+        params[name] = rng.uniform(-s, s, size=shape)
     return params
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -28,7 +29,8 @@ import numpy as np
 from . import autodiff as ad
 from . import ops
 from .autodiff import value_of
-from .fusion import FusionSpec, fuse, init_fusion_params, param_shapes as fusion_param_shapes
+from .fusion import FusionSpec, FusionSpecError, fuse, init_fusion_params
+from .fusion import param_count as fusion_param_count, param_shapes as fusion_param_shapes
 from .ops import BatchNormState, conv_out_length
 from .tensor import ShapeError, load_tensor, save_tensor
 
@@ -84,12 +86,6 @@ def extractor_plans(profile: str = "full") -> dict:
     return {m: extractor_plan(m, profile) for m in MODALITIES}
 
 
-def make_fusion_spec(fusion: dict, plans: dict) -> FusionSpec:
-    """The fusion layer that a hyperparameter dict (``kind``, ``output_dim``,
-    ``rank``, ...) describes on top of the given extractors."""
-    return FusionSpec(input_dims=tuple(feature_length(plans[m]) for m in MODALITIES), **fusion)
-
-
 # tiny clones for finite-difference checks: same block structure, shrunk
 # channels and time lengths (30 / 10), geometry adapted to stay feasible
 TINY_PLANS = {
@@ -107,6 +103,79 @@ TINY_PLANS["deoxy"] = TINY_PLANS["oxy"]
 TINY_INPUT_LENGTHS = {"eeg": 30, "oxy": 10, "deoxy": 10}
 
 
+SPEC_KEYS = ("type", "modality", "profile", "fusion", "l2_normalize")
+FUSION_KEYS = ("kind", "output_dim", "rank", "order", "symmetric", "path", "augment_one")
+
+
+def topology(spec: dict, plans: dict | None = None) -> dict:
+    """Validate a model spec and return the topology it describes, less the seed.
+
+    A spec holds ``type`` (``single`` or ``fused``), an optional ``profile``
+    (default ``full``) and either a ``modality`` or a ``fusion`` dict of fusion
+    hyperparameters plus an optional ``l2_normalize`` (default: on for TF and
+    PF outputs, off for LF). The fusion input lengths come from the extractors;
+    ``plans`` replaces the profile's extractor plans (e.g. ``TINY_PLANS``).
+    A bad spec raises ``ModelError``, ``FusionSpecError`` or ``MaterializeError``.
+    """
+    if not isinstance(spec, dict) or not set(spec) <= set(SPEC_KEYS):
+        raise ModelError(f"model spec must be a dict with keys from {SPEC_KEYS}, got {spec!r}")
+    kind, profile, modality = spec.get("type"), spec.get("profile", "full"), spec.get("modality")
+    if profile not in tuple(PROFILE_DIVISOR):
+        raise ModelError(f"profile must be one of {tuple(PROFILE_DIVISOR)}, got {profile!r}")
+    if kind not in ("single", "fused"):
+        raise ModelError(f"model spec type must be 'single' or 'fused', got {kind!r}")
+    foreign = ("fusion", "l2_normalize") if kind == "single" else ("modality",)
+    if any(spec.get(k) is not None for k in foreign):
+        raise ModelError(f"a {kind} model takes no {' or '.join(foreign)}, got {spec!r}")
+    if kind == "single":
+        if modality not in MODALITIES:
+            raise ModelError(f"single model needs a modality in {MODALITIES}, got {modality!r}")
+        plan = plans[modality] if plans is not None else extractor_plan(modality, profile)
+        feat = feature_length(plan)
+        return {
+            "type": "single", "modality": modality, "profile": profile,
+            "extractors": {modality: plan}, "head": {"dims": [feat, max(feat // 2, 1), N_CLASSES]},
+            "fusion": None, "l2_normalize": False,
+        }
+    fusion, l2_normalize = spec.get("fusion"), spec.get("l2_normalize")
+    if not isinstance(fusion, dict) or not {"kind", "output_dim"} <= set(fusion) <= set(FUSION_KEYS):
+        raise FusionSpecError(f"fusion must be a dict with kind, output_dim and optionally "
+                              f"{', '.join(FUSION_KEYS[2:])}; got {fusion!r}")
+    if l2_normalize is not None and not isinstance(l2_normalize, bool):
+        raise ModelError(f"l2_normalize must be true or false, got {l2_normalize!r}")
+    plans = plans if plans is not None else extractor_plans(profile)
+    fusion_spec = FusionSpec(input_dims=tuple(feature_length(plans[m]) for m in MODALITIES), **fusion)
+    if fusion_spec.path == "full":
+        fusion_spec.check_materializable()
+    return {
+        "type": "fused", "modality": None, "profile": profile,
+        "extractors": {m: plans[m] for m in MODALITIES},
+        "head": {"dims": [fusion_spec.output_dim, N_CLASSES]}, "fusion": fusion_spec.to_dict(),
+        "l2_normalize": fusion_spec.kind in ("TF", "PF") if l2_normalize is None else l2_normalize,
+    }
+
+
+def param_shapes(topology: dict) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter of a topology, in the order ``build_from_spec``
+    draws them: extractor blocks, then the fusion layer, then the head. It is
+    the one statement of a model's arrays, read to initialize, load and count."""
+    shapes = {}
+    for m, plan in topology["extractors"].items():
+        in_ch = plan["in_channels"]
+        for i, blk in enumerate(plan["blocks"]):
+            oc = blk["out_channels"]
+            shapes.update({f"{m}.conv{i}.w": (oc, in_ch, blk["filter"]), f"{m}.conv{i}.b": (oc,),
+                           f"{m}.bn{i}.gamma": (oc,), f"{m}.bn{i}.beta": (oc,)})
+            in_ch = oc
+    if topology["fusion"]:
+        spec = FusionSpec(**topology["fusion"])
+        shapes.update({f"fusion.{k}": v for k, v in fusion_param_shapes(spec).items()})
+    dims = topology["head"]["dims"]
+    for name, d_in, d_out in zip(["head"] if topology["fusion"] else ["head1", "head2"], dims, dims[1:]):
+        shapes[f"{name}.w"], shapes[f"{name}.b"] = (d_in, d_out), (d_out,)
+    return shapes
+
+
 class ModelGraph:
     """A classifier: named parameter store + topology descriptor + mode flag.
 
@@ -120,77 +189,6 @@ class ModelGraph:
         self.params = params
         self.state = state
         self.mode = "train"
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def _init_extractor(cls, name: str, plan: dict, rng, params, state):
-        in_ch = plan["in_channels"]
-        for i, blk in enumerate(plan["blocks"]):
-            oc, f = blk["out_channels"], blk["filter"]
-            bound = (1.0 / (in_ch * f)) ** 0.5
-            params[f"{name}.conv{i}.w"] = rng.uniform(-bound, bound, size=(oc, in_ch, f))
-            params[f"{name}.conv{i}.b"] = rng.uniform(-bound, bound, size=oc)
-            params[f"{name}.bn{i}.gamma"] = np.ones(oc)
-            params[f"{name}.bn{i}.beta"] = np.zeros(oc)
-            state[f"{name}.bn{i}"] = BatchNormState.fresh(oc)
-            in_ch = oc
-
-    @classmethod
-    def _init_linear(cls, name: str, d_in: int, d_out: int, rng, params):
-        bound = (1.0 / d_in) ** 0.5
-        params[f"{name}.w"] = rng.uniform(-bound, bound, size=(d_in, d_out))
-        params[f"{name}.b"] = rng.uniform(-bound, bound, size=d_out)
-
-    @classmethod
-    def single_modal(cls, modality: str, profile: str = "full", seed: int = 0,
-                     plan: dict | None = None) -> "ModelGraph":
-        """Extractor + Linear(feat -> feat/2) + ReLU + Linear(-> 2) classifier."""
-        if modality not in MODALITIES:
-            raise ModelError(f"modality must be one of {MODALITIES}")
-        plan = plan if plan is not None else extractor_plan(modality, profile)
-        rng = np.random.default_rng(seed)
-        params: dict[str, np.ndarray] = {}
-        state: dict[str, BatchNormState] = {}
-        cls._init_extractor(modality, plan, rng, params, state)
-        feat = feature_length(plan)
-        hidden = max(feat // 2, 1)
-        cls._init_linear("head1", feat, hidden, rng, params)
-        cls._init_linear("head2", hidden, N_CLASSES, rng, params)
-        topology = {
-            "type": "single", "modality": modality, "profile": profile,
-            "extractors": {modality: plan}, "head": {"dims": [feat, hidden, N_CLASSES]},
-            "fusion": None, "l2_normalize": False, "seed": seed,
-        }
-        return cls(topology, params, state)
-
-    @classmethod
-    def fused(cls, fusion: dict, profile: str = "full", seed: int = 0,
-              l2_normalize: bool | None = None, plans: dict | None = None) -> "ModelGraph":
-        """Three extractors -> fusion layer -> L2 normalize -> Linear(O -> 2).
-
-        ``fusion`` holds the fusion hyperparameters; the input lengths come
-        from the extractors. L2 normalization defaults on for TF and PF
-        outputs; linear fusion skips it unless explicitly enabled.
-        """
-        rng = np.random.default_rng(seed)
-        params: dict[str, np.ndarray] = {}
-        state: dict[str, BatchNormState] = {}
-        plans = plans if plans is not None else extractor_plans(profile)
-        fusion_spec = make_fusion_spec(fusion, plans)
-        for m in MODALITIES:
-            cls._init_extractor(m, plans[m], rng, params, state)
-        for pname, arr in init_fusion_params(fusion_spec, rng).items():
-            params[f"fusion.{pname}"] = arr
-        if l2_normalize is None:
-            l2_normalize = fusion_spec.kind in ("TF", "PF")
-        cls._init_linear("head", fusion_spec.output_dim, N_CLASSES, rng, params)
-        topology = {
-            "type": "fused", "modality": None, "profile": profile,
-            "extractors": plans, "head": {"dims": [fusion_spec.output_dim, N_CLASSES]},
-            "fusion": fusion_spec.to_dict(), "l2_normalize": bool(l2_normalize), "seed": seed,
-        }
-        return cls(topology, params, state)
 
     # -- forward ------------------------------------------------------------
 
@@ -255,42 +253,39 @@ class ModelGraph:
     # -- bookkeeping ---------------------------------------------------------
 
     def param_count(self) -> int:
-        return int(sum(v.size for v in self.params.values()))
+        return sum(math.prod(shape) for shape in param_shapes(self.topology).values())
 
     def fusion_param_count(self) -> int:
-        return int(sum(v.size for k, v in self.params.items() if k.startswith("fusion.")))
-
-    def copy(self) -> "ModelGraph":
-        clone = ModelGraph(
-            json.loads(json.dumps(self.topology)),
-            {k: v.copy() for k, v in self.params.items()},
-            {k: s.copy() for k, s in self.state.items()},
-        )
-        clone.mode = self.mode
-        return clone
+        return fusion_param_count(self.fusion_spec) if self.fusion_spec else 0
 
 
 # ---------------------------------------------------------------------------
 # factories and checkpoints
 
-def build_from_spec(spec: dict, seed: int = 0) -> ModelGraph:
-    """Construct a model from a JSON-able description (used by trainer and CLI)."""
-    kind = spec.get("type")
-    profile = spec.get("profile", "full")
-    if kind == "single":
-        return ModelGraph.single_modal(spec["modality"], profile=profile, seed=seed)
-    if kind == "fused":
-        return ModelGraph.fused(spec["fusion"], profile=profile, seed=seed, l2_normalize=spec.get("l2_normalize"))
-    raise ModelError(f"model spec type must be 'single' or 'fused', got {kind!r}")
-
-
-def build_tiny_single(modality: str, seed: int = 0) -> ModelGraph:
-    return ModelGraph.single_modal(modality, profile="full", seed=seed, plan=TINY_PLANS[modality])
-
-
-def build_tiny_fused(fusion: dict, seed: int = 0, l2_normalize: bool | None = None) -> ModelGraph:
-    return ModelGraph.fused(fusion, profile="full", seed=seed,
-                            l2_normalize=l2_normalize, plans=TINY_PLANS)
+def build_from_spec(spec: dict, seed: int = 0, plans: dict | None = None) -> ModelGraph:
+    """The one model constructor: ``topology(spec, plans)``, then every array of
+    ``param_shapes`` drawn in order from one stream seeded by ``seed``. Conv and
+    linear weights and biases are uniform in +-1/sqrt(fan_in), batch norm starts
+    at gamma 1, beta 0; fusion weights come from ``init_fusion_params``."""
+    topo = {**topology(spec, plans), "seed": seed}
+    rng = np.random.default_rng(seed)
+    params: dict[str, np.ndarray] = {}
+    state: dict[str, BatchNormState] = {}
+    for name, shape in param_shapes(topo).items():
+        if name.startswith("fusion."):
+            if name not in params:
+                fused = init_fusion_params(FusionSpec(**topo["fusion"]), rng)
+                params.update({f"fusion.{k}": v for k, v in fused.items()})
+        elif name.endswith(".gamma"):
+            params[name] = np.ones(shape)
+            state[name[:-len(".gamma")]] = BatchNormState.fresh(shape[0])
+        elif name.endswith(".beta"):
+            params[name] = np.zeros(shape)
+        else:
+            if name.endswith(".w"):  # conv [out, in, filter] or linear [in, out]; the bias reuses the bound
+                bound = (1.0 / (shape[1] * shape[2] if len(shape) == 3 else shape[0])) ** 0.5
+            params[name] = rng.uniform(-bound, bound, size=shape)
+    return ModelGraph(topo, params, state)
 
 
 def tiny_inputs(rng: np.random.Generator, batch: int = 2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,25 +339,6 @@ def checkpoint_digest_problems(indir) -> list[str]:
         elif doc.get("digests", {}).get(name) != _digest(path):
             problems.append(f"{name}: digest mismatch (file corrupted or replaced)")
     return problems
-
-
-def param_shapes(topology: dict) -> dict[str, tuple[int, ...]]:
-    """The shape of every parameter that ``ModelGraph`` allocates for a topology."""
-    shapes = {}
-    for m, plan in topology["extractors"].items():
-        in_ch = plan["in_channels"]
-        for i, blk in enumerate(plan["blocks"]):
-            oc = blk["out_channels"]
-            shapes.update({f"{m}.conv{i}.w": (oc, in_ch, blk["filter"]), f"{m}.conv{i}.b": (oc,),
-                           f"{m}.bn{i}.gamma": (oc,), f"{m}.bn{i}.beta": (oc,)})
-            in_ch = oc
-    if topology["fusion"]:
-        spec = FusionSpec(**topology["fusion"])
-        shapes.update({f"fusion.{k}": v for k, v in fusion_param_shapes(spec).items()})
-    dims = topology["head"]["dims"]
-    for name, d_in, d_out in zip(["head"] if topology["fusion"] else ["head1", "head2"], dims, dims[1:]):
-        shapes[f"{name}.w"], shapes[f"{name}.b"] = (d_in, d_out), (d_out,)
-    return shapes
 
 
 def _load_checked(indir, rel: str, want: tuple) -> np.ndarray:

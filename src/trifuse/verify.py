@@ -196,7 +196,8 @@ def check_grad_models() -> tuple[bool, str]:
     worst = {}
     x1, x2, x3 = models.tiny_inputs(rng, batch=2)
     for modality, x in zip(models.MODALITIES, (x1, x2, x3)):
-        worst[modality] = _model_grad_err(models.build_tiny_single(modality, seed=1), x, labels)
+        model = models.build_from_spec({"type": "single", "modality": modality}, seed=1, plans=models.TINY_PLANS)
+        worst[modality] = _model_grad_err(model, x, labels)
     fused_cases = {
         "LF": {"kind": "LF", "output_dim": 8},
         "TF-fact": {"kind": "TF", "output_dim": 8, "rank": 4},
@@ -206,7 +207,7 @@ def check_grad_models() -> tuple[bool, str]:
         "PF2-full": {"kind": "PF", "output_dim": 3, "order": 2, "path": "full"},
     }
     for name, fusion in fused_cases.items():
-        model = models.build_tiny_fused(fusion, seed=2)
+        model = models.build_from_spec({"type": "fused", "fusion": fusion}, seed=2, plans=models.TINY_PLANS)
         worst[name] = _model_grad_err(model, (x1, x2, x3), labels)
     bad = {k: round(v, 6) for k, v in worst.items() if v >= 1e-4}
     if bad:

@@ -38,6 +38,15 @@ FAIL_CLOSED_PROBES = {
     "order-float": ([], {"model": {"type": "fused", "fusion": {"kind": "PF", "order": 2.0}}}),
     "symmetric-int": ([], {"model": {"type": "fused", "fusion": {"kind": "PF", "symmetric": 1}}}),
     "augment-one-string": ([], {"model": {"type": "fused", "fusion": {"kind": "PF", "augment_one": "yes"}}}),
+    "fusion-not-object": ([], {"model": {"type": "fused", "fusion": 5}}),
+    "model-string": ([], {"model": "x"}),
+    "l2-normalize-string": ([], {"model": {"type": "fused", "fusion": {"kind": "LF"}, "l2_normalize": "no"}}),
+    "synth-not-object": (["--model", "oxy"], {"data": {"synth": 5}}),
+    "synth-n-trials-string": (["--model", "oxy"], {"data": {"synth": {"generator": "additive", "n_trials": "5"}}}),
+    "seed-string": (["--model", "oxy"], {"seed": "x"}),
+    "seed-negative": (["--model", "oxy", "--seed", "-1"], {}),
+    "cv-k-string": (["--model", "oxy"], {"cv": {"k": "x"}}),
+    "shuffle-string": (["--model", "oxy"], {"train": {"shuffle": "no"}}),
 }
 
 
@@ -134,6 +143,33 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "oxy.ten holds non-finite values" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc["segments"][3].update(trial_id="abc"),
+        lambda doc: doc["segments"].__setitem__(5, None),
+        lambda doc: doc.update(arrays=[]),
+    ], ids=["trial-id-string", "null-segment", "arrays-list"])
+    def test_mistyped_manifest_is_one_line_data_error(self, synth_manifest, tmp_path, capsys, mutate):
+        doc = json.loads(synth_manifest.read_text())
+        mutate(doc)
+        synth_manifest.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert run("train", "--data", str(synth_manifest), *DESK_PF,
+                   "--epochs", "1", "--k", "4", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest validation failed: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_manifest_with_several_problems_is_one_line(self, synth_manifest, tmp_path, capsys):
+        doc = json.loads(synth_manifest.read_text())
+        doc["segments"][0]["label"] = 7
+        doc["arrays"]["oxy"] = "missing.ten"
+        synth_manifest.write_text(json.dumps(doc))
+        assert run("train", "--data", str(synth_manifest), *DESK_PF,
+                   "--epochs", "1", "--k", "4", "--out", str(tmp_path / "run")) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "unknown label 7" in err and "missing.ten does not exist" in err
 
     def test_failed_swap_keeps_previous_artifacts(self, synth_manifest, tmp_path, monkeypatch, capsys):
         out = tmp_path / "run"
@@ -286,9 +322,10 @@ class TestUsageErrors:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"data": {"manifest": str(synth_manifest)}, **doc}))
         out = tmp_path / "x"
-        # the --epochs flag would override a probe's own train.epochs
+        # the --epochs and --k flags would override a probe's own train.epochs and cv.k
         epochs = [] if "epochs" in doc.get("train", {}) else ["--epochs", "1"]
-        assert run("cv", "--config", str(cfg_path), "--profile", "desk", *epochs, "--k", "4",
+        k = [] if "k" in doc.get("cv", {}) else ["--k", "4"]
+        assert run("cv", "--config", str(cfg_path), "--profile", "desk", *epochs, *k,
                    *flags, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,0 +1,78 @@
+"""Run configuration: every JSON document either resolves or fails closed."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trifuse import config
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _section(keys, **values):
+    """A dict over a section's own keys, each value a likely one or any JSON."""
+    return st.fixed_dictionaries({}, optional={k: values.get(k, st.nothing()) | JSON for k in keys}) | JSON
+
+
+DOCUMENTS = st.fixed_dictionaries({}, optional={
+    "task": st.text(max_size=4) | JSON,
+    "profile": st.sampled_from(config.PROFILES) | JSON,
+    "seed": st.integers(0, 9) | JSON,
+    "jobs": st.integers(1, 3) | JSON,
+    "out": st.text(min_size=1, max_size=4) | JSON,
+    "data": _section(config.DATA_KEYS, manifest=st.text(max_size=4), seed=st.integers(0, 9),
+                     shuffle_labels=st.booleans(),
+                     synth=_section(config.SYNTH_KEYS, generator=st.sampled_from(["additive", "interaction"]),
+                                    n_trials=st.integers(0, 40), noise=st.floats(0, 1))),
+    "model": _section(config.MODEL_KEYS, type=st.sampled_from(["single", "fused"]),
+                      modality=st.sampled_from(["eeg", "oxy", "deoxy"]), l2_normalize=st.booleans(),
+                      fusion=_section(config.FUSION_KEYS, kind=st.sampled_from(["LF", "TF", "PF"]),
+                                      path=st.sampled_from(["full", "factorized"]),
+                                      order=st.integers(1, 4), rank=st.integers(1, 8),
+                                      output_dim=st.integers(1, 8))),
+    "train": _section(config.TRAIN_KEYS, epochs=st.integers(1, 5), shuffle=st.booleans(),
+                      trial_vote=st.booleans(), lr=st.floats(0, 1)),
+    "cv": _section(config.CV_KEYS, k=st.integers(0, 6)),
+}) | JSON
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=DOCUMENTS)
+def test_resolve_returns_config_or_raises_config_error(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps(doc))
+    try:
+        cfg = config.resolve(str(path))
+    except config.ConfigError:
+        return
+    assert isinstance(cfg, config.RunConfig)
+    json.dumps(cfg.fingerprint())
+
+
+def test_model_spec_is_unchanged_by_validation(tmp_path):
+    doc = {"model": {"type": "fused", "fusion": {"kind": "PF", "order": 3, "rank": 4, "symmetric": True},
+                     "l2_normalize": False}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    cfg = config.resolve(str(path), {"profile": "desk"})
+    assert cfg.model == {"type": "fused", "profile": "desk", "l2_normalize": False,
+                         "fusion": {"kind": "PF", "order": 3, "rank": 4, "symmetric": True, "output_dim": 16}}
+
+
+@pytest.mark.parametrize("doc", [{"data": {"synth": {"generator": "additive"}}},
+                                 {"data": {"synth": {"generator": "additive", "n_trials": 4, "noise": "x"}}},
+                                 {"data": {"manifest": 5}}, {"data": {"shuffle_labels": 1}},
+                                 {"out": 5}, {"task": None}, {"train": {"trial_vote": 1}}],
+                         ids=["synth-no-trials", "synth-noise-string", "manifest-int", "shuffle-labels-int",
+                              "out-int", "task-null", "trial-vote-int"])
+def test_mistyped_settings_are_config_errors(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(config.ConfigError):
+        config.resolve(str(path))

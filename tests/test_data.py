@@ -1,9 +1,12 @@
 """Windowing, synthetic generators, fold plans and manifest validation."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trifuse import data
 from trifuse.tensor import save_tensor
@@ -268,3 +271,113 @@ class TestManifests:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(data.ManifestError, match="does not exist"):
             data.load_manifest(tmp_path / "nope")
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(doc, prefix=()):
+    """Every location in a JSON document, as a key/index path from the root."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, value, delete: bool):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def manifest_docs(tmp_path_factory):
+    """A valid segments manifest and a valid trials manifest on disk."""
+    segs = tmp_path_factory.mktemp("segments")
+    data.save_segments_manifest(data.synth_dataset(data.SynthSpec("additive", n_trials=4), seed=3), segs)
+    trials = tmp_path_factory.mktemp("trials")
+    data.save_trials_manifest([make_trial(trial_id=i, label=i % 2, seed=i) for i in range(2)], trials)
+    return {d: json.loads((d / "manifest.json").read_text()) for d in (segs, trials)}
+
+
+class TestManifestEntryTypes:
+    @pytest.mark.parametrize("mutate, words", [
+        (lambda doc: doc["segments"][1].update(trial_id="abc"), "segment 1: trial_id must be an integer"),
+        (lambda doc: doc["segments"].__setitem__(2, None), "segment 2: entry must be an object"),
+        (lambda doc: doc.update(arrays=[]), "arrays must be a JSON object"),
+        (lambda doc: doc["segments"][0].update(offset=1.5), "segment 0: offset must be an integer"),
+        (lambda doc: doc["segments"][3].update(subject=7), "segment 3: subject must be a string"),
+        (lambda doc: doc["segments"][0].update(trial_id=2**63), "trial_id must be an integer"),
+        (lambda doc: doc.update(segments={}), "segments must be a JSON array"),
+    ], ids=["trial-id-string", "null-entry", "arrays-list", "offset-float", "subject-int",
+            "trial-id-over-int64", "segments-object"])
+    def test_segments_entry_types(self, tmp_path, mutate, words):
+        ds = data.synth_dataset(data.SynthSpec("additive", n_trials=4), seed=7)
+        data.save_segments_manifest(ds, tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        mutate(doc)
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(data.ManifestError, match=words) as err:
+            data.load_manifest(tmp_path)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("mutate, words", [
+        (lambda doc: doc["trials"].__setitem__(0, None), "trial entry 0: entry must be an object"),
+        (lambda doc: doc["trials"][1].update(trial_id="abc"), "trial entry 1: trial_id must be an integer"),
+        (lambda doc: doc["trials"][0].update(onset_sample="2000"), "onset_sample must be an integer"),
+        (lambda doc: doc["trials"][1].update(subject=None), "subject must be a string"),
+        (lambda doc: doc.update(trials="all"), "trials must be a JSON array"),
+    ], ids=["null-entry", "trial-id-string", "onset-string", "subject-null", "trials-string"])
+    def test_trials_entry_types(self, tmp_path, mutate, words):
+        data.save_trials_manifest([make_trial(trial_id=i, label=i % 2, seed=i) for i in range(2)], tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        mutate(doc)
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(data.ManifestError, match=words):
+            data.load_manifest(tmp_path)
+
+    def test_every_violation_collected_on_one_line(self, tmp_path):
+        ds = data.synth_dataset(data.SynthSpec("additive", n_trials=4), seed=7)
+        data.save_segments_manifest(ds, tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        doc["segments"][0] = None
+        doc["segments"][1]["trial_id"] = "abc"
+        doc["segments"][2]["label"] = 9
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(data.ManifestError) as err:
+            data.load_manifest(tmp_path)
+        assert len(err.value.problems) == 3
+        assert str(err.value) == "manifest validation failed: " + "; ".join(err.value.problems)
+
+    def test_not_an_object(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(data.ManifestError, match="JSON object"):
+            data.load_manifest(tmp_path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(choice=st.data())
+    def test_mutated_manifests_raise_only_manifest_error(self, manifest_docs, choice):
+        base = choice.draw(st.sampled_from(sorted(manifest_docs)))
+        doc = manifest_docs[base]
+        path = choice.draw(st.sampled_from(list(_paths(doc))))
+        delete = bool(path) and choice.draw(st.booleans())
+        mutated = _mutated(doc, path, None if delete else choice.draw(JSON), delete)
+        target = base / "mutated.json"
+        target.write_text(json.dumps(mutated))
+        try:
+            ds = data.load_manifest(target)
+        except data.ManifestError:
+            return
+        assert len(ds) == len(ds.labels)

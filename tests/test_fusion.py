@@ -96,6 +96,14 @@ class TestTensorFusion:
             init_fusion_params(spec, np.random.default_rng(0))
         assert spec.full_entries() == 318504960 > MATERIALIZE_LIMIT
 
+    def test_guard_skips_the_power_for_a_huge_pf_order(self):
+        # 3**(10**18) would never finish; any order past the guard's bit length is over it
+        with pytest.raises(MaterializeError, match=r"3\*\*1000000000000000000 x 1 entries"):
+            FusionSpec("PF", (1, 1, 1), 1, order=10**18, path="full").check_materializable()
+        with pytest.raises(MaterializeError, match="94143178827 entries"):
+            FusionSpec("PF", (1, 1, 1), 1, order=23, path="full").check_materializable()
+        FusionSpec("PF", (1, 1, 1), 1, order=14, path="full").check_materializable()
+
 
 class TestPolynomialFusion:
     def test_order_one_reduces_to_linear(self):

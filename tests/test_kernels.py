@@ -3,8 +3,9 @@
 Symmetric PF shares one projection across polynomial positions, batch norm
 reuses its centred input and takes a closed-form backward, Adam updates
 through reused scratch rows, conv1d multiplies a time-innermost window
-matrix, one ``fusion.fuse`` replaced the per-kind fusion forwards, and
-``load_tensor`` reads a payload once instead of as bytes plus a copy. Each is
+matrix, one ``fusion.fuse`` replaced the per-kind fusion forwards,
+``load_tensor`` reads a payload once instead of as bytes plus a copy, and
+``models.build_from_spec`` draws every model by walking ``param_shapes``. Each is
 held here to the straightforward formula it replaced: bit-identical where the
 arithmetic is unchanged, within 1e-12 relative where only the summation order
 moved.
@@ -633,3 +634,173 @@ class TestLoadTensor:
         path = tmp_path_factory.mktemp("ten") / "t.ten"
         path.write_bytes(_header(*dims) + (fill or b"\x3f") * length)
         _check_same_outcome(path)
+
+
+# ---------------------------------------------------------------------------
+# one model constructor: build_from_spec draws by walking param_shapes, against
+# the per-shape constructors it replaced (ModelGraph.single_modal / fused,
+# _init_extractor, _init_linear, make_fusion_spec and init_fusion_params,
+# copied verbatim as old_*)
+
+def old_init_fusion_params(spec: FusionSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    a, b, c = spec.input_dims
+    d, o, r = spec.concat_dim, spec.output_dim, spec.rank
+    if spec.path == "full":
+        spec.check_materializable()
+    if spec.kind == "LF":
+        s = (1.0 / d) ** 0.5
+        return {"w": rng.uniform(-s, s, size=(d, o))}
+    if spec.kind == "TF":
+        if spec.path == "full":
+            s = (1.0 / (a * b * c)) ** 0.5
+            return {"w_full": rng.uniform(-s, s, size=(a, b, c, o))}
+        params = {}
+        for name, dim in (("factor1", a), ("factor2", b), ("factor3", c)):
+            s = (1.0 / dim) ** (1.0 / 3.0)
+            params[name] = rng.uniform(-s, s, size=(dim, r, o))
+        params["mix"] = np.full(r, 1.0 / r)
+        return params
+    p = spec.order
+    if spec.path == "full":
+        s = (1.0 / d) ** (p / 2.0)
+        return {"w_full": rng.uniform(-s, s, size=(d,) * p + (o,))}
+    s = (1.0 / d) ** (1.0 / p)
+    if spec.symmetric:
+        return {"factor": rng.uniform(-s, s, size=(d, r, o)), "mix": np.full(r, 1.0 / r)}
+    params = {f"factor{k}": rng.uniform(-s, s, size=(d, r, o)) for k in range(1, p + 1)}
+    params["mix"] = np.full(r, 1.0 / r)
+    return params
+
+
+def old_make_fusion_spec(fusion: dict, plans: dict) -> FusionSpec:
+    return FusionSpec(input_dims=tuple(models.feature_length(plans[m]) for m in models.MODALITIES), **fusion)
+
+
+def _old_init_extractor(name: str, plan: dict, rng, params, state):
+    in_ch = plan["in_channels"]
+    for i, blk in enumerate(plan["blocks"]):
+        oc, f = blk["out_channels"], blk["filter"]
+        bound = (1.0 / (in_ch * f)) ** 0.5
+        params[f"{name}.conv{i}.w"] = rng.uniform(-bound, bound, size=(oc, in_ch, f))
+        params[f"{name}.conv{i}.b"] = rng.uniform(-bound, bound, size=oc)
+        params[f"{name}.bn{i}.gamma"] = np.ones(oc)
+        params[f"{name}.bn{i}.beta"] = np.zeros(oc)
+        state[f"{name}.bn{i}"] = ops.BatchNormState.fresh(oc)
+        in_ch = oc
+
+
+def _old_init_linear(name: str, d_in: int, d_out: int, rng, params):
+    bound = (1.0 / d_in) ** 0.5
+    params[f"{name}.w"] = rng.uniform(-bound, bound, size=(d_in, d_out))
+    params[f"{name}.b"] = rng.uniform(-bound, bound, size=d_out)
+
+
+def old_single_modal(modality: str, profile: str = "full", seed: int = 0, plan: dict | None = None):
+    plan = plan if plan is not None else models.extractor_plan(modality, profile)
+    rng = np.random.default_rng(seed)
+    params, state = {}, {}
+    _old_init_extractor(modality, plan, rng, params, state)
+    feat = models.feature_length(plan)
+    hidden = max(feat // 2, 1)
+    _old_init_linear("head1", feat, hidden, rng, params)
+    _old_init_linear("head2", hidden, models.N_CLASSES, rng, params)
+    topology = {
+        "type": "single", "modality": modality, "profile": profile,
+        "extractors": {modality: plan}, "head": {"dims": [feat, hidden, models.N_CLASSES]},
+        "fusion": None, "l2_normalize": False, "seed": seed,
+    }
+    return topology, params, state
+
+
+def old_fused(fusion: dict, profile: str = "full", seed: int = 0,
+              l2_normalize: bool | None = None, plans: dict | None = None):
+    rng = np.random.default_rng(seed)
+    params, state = {}, {}
+    plans = plans if plans is not None else models.extractor_plans(profile)
+    fusion_spec = old_make_fusion_spec(fusion, plans)
+    for m in models.MODALITIES:
+        _old_init_extractor(m, plans[m], rng, params, state)
+    for pname, arr in old_init_fusion_params(fusion_spec, rng).items():
+        params[f"fusion.{pname}"] = arr
+    if l2_normalize is None:
+        l2_normalize = fusion_spec.kind in ("TF", "PF")
+    _old_init_linear("head", fusion_spec.output_dim, models.N_CLASSES, rng, params)
+    topology = {
+        "type": "fused", "modality": None, "profile": profile,
+        "extractors": plans, "head": {"dims": [fusion_spec.output_dim, models.N_CLASSES]},
+        "fusion": fusion_spec.to_dict(), "l2_normalize": bool(l2_normalize), "seed": seed,
+    }
+    return topology, params, state
+
+
+FUSION_CASES = {
+    "LF": {"kind": "LF", "output_dim": 16},
+    "TF": {"kind": "TF", "output_dim": 16, "rank": 4},
+    "TF-full": {"kind": "TF", "output_dim": 4, "path": "full"},
+    "PF3-sym": {"kind": "PF", "output_dim": 16, "rank": 16, "order": 3, "symmetric": True},
+    "PF3": {"kind": "PF", "output_dim": 8, "rank": 4, "order": 3},
+    "PF2-full": {"kind": "PF", "output_dim": 4, "order": 2, "path": "full"},
+    "PF2-aug": {"kind": "PF", "output_dim": 8, "rank": 4, "order": 2, "augment_one": True},
+    "LF-l2": {"kind": "LF", "output_dim": 8},
+}
+
+
+def _model_cases():
+    cases = []
+    for profile in ("desk", "full"):
+        for m in models.MODALITIES:
+            cases.append(pytest.param({"type": "single", "modality": m, "profile": profile}, None, 0,
+                                      id=f"{profile}-{m}"))
+        for name, fusion_doc in FUSION_CASES.items():
+            spec = {"type": "fused", "profile": profile, "fusion": fusion_doc}
+            if name == "LF-l2":
+                spec["l2_normalize"] = True
+            if profile == "full" and name == "PF2-full":
+                spec["fusion"] = {**fusion_doc, "output_dim": 32}  # 408**2 x 32 stays under the guard
+            cases.append(pytest.param(spec, None, 3, id=f"{profile}-{name}"))
+    for seed in (1, 2):
+        for m in models.MODALITIES:
+            cases.append(pytest.param({"type": "single", "modality": m}, models.TINY_PLANS, seed,
+                                      id=f"tiny-{m}-seed{seed}"))
+        for name, fusion_doc in FUSION_CASES.items():
+            cases.append(pytest.param({"type": "fused", "fusion": fusion_doc}, models.TINY_PLANS, seed,
+                                      id=f"tiny-{name}-seed{seed}"))
+    return cases
+
+
+def _old_build(spec, plans, seed):
+    profile = spec.get("profile", "full")
+    if spec["type"] == "single":
+        plan = plans[spec["modality"]] if plans is not None else None
+        return old_single_modal(spec["modality"], profile=profile, seed=seed, plan=plan)
+    return old_fused(spec["fusion"], profile=profile, seed=seed,
+                     l2_normalize=spec.get("l2_normalize"), plans=plans)
+
+
+class TestBuildFromSpec:
+    @pytest.mark.parametrize("spec, plans, seed", _model_cases())
+    def test_bit_identical_to_old_constructors(self, spec, plans, seed):
+        topology, params, state = _old_build(spec, plans, seed)
+        model = models.build_from_spec(spec, seed=seed, plans=plans)
+        assert model.topology == topology
+        assert list(model.params) == list(params)
+        for name, arr in params.items():
+            assert model.params[name].dtype == arr.dtype and np.array_equal(model.params[name], arr), name
+        assert list(model.state) == list(state)
+        for name, st_old in state.items():
+            st_new = model.state[name]
+            assert np.array_equal(st_new.running_mean, st_old.running_mean), name
+            assert np.array_equal(st_new.running_var, st_old.running_var), name
+            assert (st_new.eps, st_new.momentum) == (st_old.eps, st_old.momentum), name
+        assert model.param_count() == sum(v.size for v in params.values())
+        assert model.fusion_param_count() == sum(v.size for k, v in params.items() if k.startswith("fusion."))
+
+    @pytest.mark.parametrize("name", [n for n in FUSION_CASES if n != "LF-l2"])
+    def test_init_fusion_params_matches_old(self, name):
+        for dims in ((5, 4, 6), (20, 24, 24), (1, 1, 1)):
+            spec = FusionSpec(input_dims=dims, **FUSION_CASES[name])
+            new = fusion.init_fusion_params(spec, np.random.default_rng(9))
+            old = old_init_fusion_params(spec, np.random.default_rng(9))
+            assert list(new) == list(old)
+            for k in old:
+                assert np.array_equal(new[k], old[k]), k

@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from trifuse import models, ops
+from trifuse.fusion import FusionSpecError, MaterializeError
 from trifuse.tensor import load_tensor, save_tensor
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 class TestExtractorGeometry:
@@ -44,7 +55,8 @@ class TestExtractorGeometry:
         assert models.feature_length(models.extractor_plan("deoxy", "desk")) == 24
 
     def test_feature_length_invariant_to_input_time(self):
-        model = models.ModelGraph.single_modal("eeg", profile="desk", seed=0).set_mode("eval")
+        model = models.build_from_spec({"type": "single", "modality": "eeg", "profile": "desk"}, seed=0)
+        model.set_mode("eval")
         rng = np.random.default_rng(0)
         for t in (600, 700, 1000):
             z = model.features(rng.normal(size=(2, 30, t)))
@@ -53,22 +65,23 @@ class TestExtractorGeometry:
 
 class TestSingleModal:
     def test_head_widths(self):
-        eeg = models.ModelGraph.single_modal("eeg", seed=0)
+        eeg = models.build_from_spec({"type": "single", "modality": "eeg"}, seed=0)
         assert eeg.params["head1.w"].shape == (120, 60)
         assert eeg.params["head2.w"].shape == (60, 2)
-        nirs = models.ModelGraph.single_modal("oxy", seed=0)
+        nirs = models.build_from_spec({"type": "single", "modality": "oxy"}, seed=0)
         assert nirs.params["head1.w"].shape == (144, 72)
         assert nirs.params["head2.w"].shape == (72, 2)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(1)
-        model = models.ModelGraph.single_modal("deoxy", profile="desk", seed=1).set_mode("eval")
+        model = models.build_from_spec({"type": "single", "modality": "deoxy", "profile": "desk"}, seed=1)
+        model.set_mode("eval")
         probs = model.probabilities(rng.normal(size=(3, 36, 30)))
         assert probs.shape == (3, 2)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_wrong_channel_count_rejected(self):
-        model = models.ModelGraph.single_modal("eeg", profile="desk", seed=0)
+        model = models.build_from_spec({"type": "single", "modality": "eeg", "profile": "desk"}, seed=0)
         with pytest.raises(models.ModelError, match="channels"):
             model.forward(np.zeros((2, 31, 600)))
 
@@ -76,36 +89,40 @@ class TestSingleModal:
 class TestFused:
     def test_lf_parameter_totals(self):
         spec = {"kind": "LF", "output_dim": 128}
-        model = models.ModelGraph.fused(spec, profile="full", seed=0)
+        model = models.build_from_spec({"type": "fused", "profile": "full", "fusion": spec}, seed=0)
         assert model.fusion_param_count() == 52224
         assert model.params["head.w"].size + model.params["head.b"].size == 128 * 2 + 2
 
     def test_pf5_symmetric_parameter_total(self):
         spec = {"kind": "PF", "output_dim": 128, "rank": 16, "order": 5, "symmetric": True}
-        model = models.ModelGraph.fused(spec, profile="full", seed=0)
+        model = models.build_from_spec({"type": "fused", "profile": "full", "fusion": spec}, seed=0)
         assert model.fusion_param_count() == 835600
 
     def test_zero_input_is_finite(self):
         spec = {"kind": "PF", "output_dim": 8, "rank": 4, "order": 3, "symmetric": True}
-        model = models.ModelGraph.fused(spec, profile="desk", seed=2).set_mode("eval")
+        model = models.build_from_spec({"type": "fused", "profile": "desk", "fusion": spec}, seed=2)
+        model.set_mode("eval")
         logits = model.forward((np.zeros((2, 30, 600)), np.zeros((2, 36, 30)), np.zeros((2, 36, 30))))
         assert np.isfinite(logits).all()
 
     def test_eval_forward_bit_deterministic(self):
         rng = np.random.default_rng(3)
         spec = {"kind": "TF", "output_dim": 8, "rank": 4}
-        model = models.ModelGraph.fused(spec, profile="desk", seed=3).set_mode("eval")
+        model = models.build_from_spec({"type": "fused", "profile": "desk", "fusion": spec}, seed=3)
+        model.set_mode("eval")
         x = (rng.normal(size=(2, 30, 600)), rng.normal(size=(2, 36, 30)), rng.normal(size=(2, 36, 30)))
         a = model.forward(x)
         b = model.forward(x)
         assert a.tobytes() == b.tobytes()
 
     def test_l2_normalization_defaults(self):
-        lf = models.ModelGraph.fused({"kind": "LF", "output_dim": 8}, profile="desk")
-        tf = models.ModelGraph.fused({"kind": "TF", "output_dim": 8, "rank": 2}, profile="desk")
+        lf = models.build_from_spec({"type": "fused", "profile": "desk", "fusion": {"kind": "LF", "output_dim": 8}})
+        tf = models.build_from_spec({"type": "fused", "profile": "desk",
+                                     "fusion": {"kind": "TF", "output_dim": 8, "rank": 2}})
         assert lf.topology["l2_normalize"] is False
         assert tf.topology["l2_normalize"] is True
-        lf2 = models.ModelGraph.fused({"kind": "LF", "output_dim": 8}, profile="desk", l2_normalize=True)
+        lf2 = models.build_from_spec({"type": "fused", "profile": "desk",
+                                      "fusion": {"kind": "LF", "output_dim": 8}, "l2_normalize": True})
         assert lf2.topology["l2_normalize"] is True
 
 
@@ -117,7 +134,7 @@ class TestTinyClones:
 
         rng = np.random.default_rng(7)
         spec = {"kind": "PF", "output_dim": 8, "rank": 4, "order": 3, "symmetric": True}
-        model = models.build_tiny_fused(spec, seed=2)
+        model = models.build_from_spec({"type": "fused", "fusion": spec}, seed=2, plans=models.TINY_PLANS)
         inputs = models.tiny_inputs(rng, batch=2)
         labels = np.array([0, 1])
 
@@ -142,6 +159,70 @@ class TestBuildFromSpec:
     def test_unknown_type_rejected(self):
         with pytest.raises(models.ModelError):
             models.build_from_spec({"type": "stacked"})
+
+    def test_tiny_plans_replace_profile_extractors(self):
+        model = models.build_from_spec({"type": "fused", "fusion": {"kind": "LF", "output_dim": 4}},
+                                       plans=models.TINY_PLANS)
+        assert tuple(model.topology["fusion"]["input_dims"]) == (12, 10, 10)
+        assert model.topology["extractors"] == models.TINY_PLANS
+
+
+# specs the one validator must reject with a named problem, never a TypeError or KeyError
+BAD_SPECS = {
+    "fused-no-output-dim": ({"type": "fused", "fusion": {"kind": "TF", "rank": 4}}, FusionSpecError,
+                            "output_dim"),
+    "unknown-fusion-key": ({"type": "fused", "fusion": {"kind": "LF", "output_dim": 4, "width": 3}},
+                           FusionSpecError, "width"),
+    "fusion-not-a-dict": ({"type": "fused", "fusion": 5}, FusionSpecError, "fusion must be a dict"),
+    "unknown-modality": ({"type": "single", "modality": "fnirs"}, models.ModelError, "fnirs"),
+    "fused-no-kind": ({"type": "fused", "fusion": {"output_dim": 4}}, FusionSpecError, "kind"),
+    "bad-kind": ({"type": "fused", "fusion": {"kind": "QF", "output_dim": 4}}, FusionSpecError, "QF"),
+    "unknown-spec-key": ({"type": "single", "modality": "eeg", "depth": 3}, models.ModelError, "depth"),
+    "bad-profile": ({"type": "single", "modality": "eeg", "profile": "huge"}, models.ModelError, "huge"),
+    "unhashable-profile": ({"type": "single", "modality": "eeg", "profile": []}, models.ModelError, "profile"),
+    "spec-not-a-dict": (["single"], models.ModelError, "must be a dict"),
+    "l2-not-bool": ({"type": "fused", "fusion": {"kind": "LF", "output_dim": 4}, "l2_normalize": "yes"},
+                    models.ModelError, "l2_normalize"),
+    "fusion-on-single": ({"type": "single", "modality": "eeg", "fusion": {"kind": "LF"}}, models.ModelError,
+                         "single model takes no fusion or l2_normalize"),
+    "modality-on-fused": ({"type": "fused", "modality": "eeg", "fusion": {"kind": "LF", "output_dim": 4}},
+                          models.ModelError, "fused model takes no modality"),
+    "tf-full-over-guard": ({"type": "fused", "fusion": {"kind": "TF", "output_dim": 128, "path": "full"}},
+                           MaterializeError, "guard"),
+}
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("spec, error, words", BAD_SPECS.values(), ids=list(BAD_SPECS))
+    def test_bad_spec_raises_named_error(self, spec, error, words):
+        with pytest.raises(error, match=words):
+            models.build_from_spec(spec)
+        with pytest.raises(error, match=words):
+            models.topology(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=st.one_of(
+        JSON,
+        st.fixed_dictionaries({}, optional={
+            "type": st.sampled_from(["single", "fused"]) | JSON,
+            "modality": st.sampled_from(models.MODALITIES) | JSON,
+            "profile": st.sampled_from(["desk", "full"]) | JSON,
+            "l2_normalize": st.booleans() | JSON,
+            "fusion": st.fixed_dictionaries({}, optional={
+                "kind": st.sampled_from(["LF", "TF", "PF"]) | JSON,
+                "output_dim": st.integers() | JSON, "rank": st.integers() | JSON,
+                "order": st.integers() | JSON, "symmetric": st.booleans() | JSON,
+                "path": st.sampled_from(["full", "factorized"]) | JSON,
+                "augment_one": st.booleans() | JSON,
+            }) | JSON,
+        }),
+    ))
+    def test_topology_raises_only_spec_errors(self, spec):
+        try:
+            topo = models.topology(spec)
+        except (models.ModelError, FusionSpecError, MaterializeError):
+            return
+        assert topo["type"] in ("single", "fused")
 
 
 SHAPE_SPECS = {
@@ -187,7 +268,8 @@ class TestCheckpoint:
     def test_roundtrip_preserves_forward(self, tmp_path):
         rng = np.random.default_rng(5)
         spec = {"kind": "PF", "output_dim": 8, "rank": 4, "order": 2, "symmetric": True}
-        model = models.ModelGraph.fused(spec, profile="desk", seed=5).set_mode("eval")
+        model = models.build_from_spec({"type": "fused", "profile": "desk", "fusion": spec}, seed=5)
+        model.set_mode("eval")
         x = (rng.normal(size=(2, 30, 600)), rng.normal(size=(2, 36, 30)), rng.normal(size=(2, 36, 30)))
         before = model.forward(x)
         models.save_model(model, tmp_path / "ckpt")
@@ -196,7 +278,7 @@ class TestCheckpoint:
         assert before.tobytes() == after.tobytes()
 
     def test_digest_catches_corruption(self, tmp_path):
-        model = models.ModelGraph.single_modal("eeg", profile="desk", seed=6)
+        model = models.build_from_spec({"type": "single", "modality": "eeg", "profile": "desk"}, seed=6)
         models.save_model(model, tmp_path / "ckpt")
         assert models.checkpoint_digest_problems(tmp_path / "ckpt") == []
         victim = tmp_path / "ckpt" / "params" / "head1.w.ten"
