@@ -5,9 +5,10 @@ in reverse creation order (a valid reverse topological order, since every
 operand is created before its consumer) and accumulates gradients into every
 ``requires_grad`` ancestor of the loss.
 
-All math ops here are polymorphic: given plain ndarrays they compute and
-return ndarrays; given at least one :class:`Variable` they lift the rest to
-constants on that variable's tape and record the op for the backward pass.
+All math ops here and in ``ops`` are polymorphic: given plain ndarrays they
+compute and return ndarrays; given at least one :class:`Variable` they return
+through :func:`record`, which lifts the rest to constants on that variable's
+tape and records the op for the backward pass.
 """
 
 from __future__ import annotations
@@ -64,22 +65,19 @@ class Tape:
         self.nodes: list[_Node] = []
         self._next_id = 0
 
-    def _new_variable(self, value, requires_grad: bool) -> Variable:
+    def variable(self, value, requires_grad: bool = True) -> Variable:
+        """Register a leaf tensor (a parameter when requires_grad is set)."""
         v = Variable(value, self, requires_grad, self._next_id)
         self._next_id += 1
         return v
 
-    def variable(self, value, requires_grad: bool = True) -> Variable:
-        """Register a leaf tensor (a parameter when requires_grad is set)."""
-        return self._new_variable(value, requires_grad)
-
     def constant(self, value) -> Variable:
-        return self._new_variable(value, requires_grad=False)
+        return self.variable(value, requires_grad=False)
 
     def record(self, name: str, value, parents: Sequence[Variable], backward_fn: Callable) -> Variable:
         """Create an op output; the node is kept only if a parent needs gradients."""
         needs = any(p.requires_grad for p in parents)
-        out = self._new_variable(value, requires_grad=needs)
+        out = self.variable(value, requires_grad=needs)
         if needs:
             self.nodes.append(_Node(name, out, tuple(parents), backward_fn))
         return out
@@ -120,27 +118,33 @@ def _accumulate(v: Variable, g: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # polymorphic op plumbing
 
-def is_variable(x) -> bool:
-    return isinstance(x, Variable)
-
-
 def value_of(x) -> np.ndarray:
     return x.value if isinstance(x, Variable) else tc.as_tensor(x)
 
 
-def _shared_tape(xs) -> Tape | None:
+def needs_grad(x) -> bool:
+    """Whether backward must produce a gradient for operand ``x``."""
+    return isinstance(x, Variable) and x.requires_grad
+
+
+def record(name: str, out, operands: Sequence, backward_fn: Callable):
+    """How every op returns: ``out`` itself when no operand is a Variable, else
+    the Variable ``Tape.record`` makes on the operands' one shared tape, with
+    the other operands lifted to constants on it in operand order.
+
+    ``backward_fn(g)`` returns one gradient (or None) per operand.
+    """
     tape = None
-    for x in xs:
+    for x in operands:
         if isinstance(x, Variable):
             if tape is None:
                 tape = x.tape
             elif x.tape is not tape:
                 raise AutodiffError("operands live on different tapes")
-    return tape
-
-
-def _lift(tape: Tape, x) -> Variable:
-    return x if isinstance(x, Variable) else tape.constant(x)
+    if tape is None:
+        return out
+    parents = [x if isinstance(x, Variable) else tape.constant(x) for x in operands]
+    return tape.record(name, out, parents, backward_fn)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -158,114 +162,81 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # generic math primitives
 
 def add(a, b):
-    out = value_of(a) + value_of(b)
-    tape = _shared_tape((a, b))
-    if tape is None:
-        return out
-    va, vb = _lift(tape, a), _lift(tape, b)
-    sa, sb = va.value.shape, vb.value.shape
+    av, bv = value_of(a), value_of(b)
 
     def backward_fn(g):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
+        return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
 
-    return tape.record("add", out, (va, vb), backward_fn)
+    return record("add", av + bv, (a, b), backward_fn)
 
 
 def mul(a, b):
     av, bv = value_of(a), value_of(b)
-    out = av * bv
-    tape = _shared_tape((a, b))
-    if tape is None:
-        return out
-    va, vb = _lift(tape, a), _lift(tape, b)
 
     def backward_fn(g):
-        ga = _unbroadcast(g * bv, av.shape) if va.requires_grad else None
-        gb = _unbroadcast(g * av, bv.shape) if vb.requires_grad else None
+        ga = _unbroadcast(g * bv, av.shape) if needs_grad(a) else None
+        gb = _unbroadcast(g * av, bv.shape) if needs_grad(b) else None
         return ga, gb
 
-    return tape.record("mul", out, (va, vb), backward_fn)
+    return record("mul", av * bv, (a, b), backward_fn)
 
 
 def sum_all(a):
-    out = value_of(a).sum()
-    if not is_variable(a):
-        return out
-    shape = a.value.shape
+    av = value_of(a)
 
     def backward_fn(g):
-        return (np.broadcast_to(g, shape),)
+        return (np.broadcast_to(g, av.shape),)
 
-    return a.tape.record("sum_all", out, (a,), backward_fn)
+    return record("sum_all", av.sum(), (a,), backward_fn)
 
 
 def sum_axis(a, axis: int, keepdims: bool = False):
     av = value_of(a)
-    out = av.sum(axis=axis, keepdims=keepdims)
-    if not is_variable(a):
-        return out
 
     def backward_fn(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, av.shape),)
 
-    return a.tape.record("sum_axis", out, (a,), backward_fn)
+    return record("sum_axis", av.sum(axis=axis, keepdims=keepdims), (a,), backward_fn)
 
 
 def reshape(a, shape):
     av = value_of(a)
-    out = av.reshape(shape)
-    if not is_variable(a):
-        return out
-    orig = av.shape
 
     def backward_fn(g):
-        return (g.reshape(orig),)
+        return (g.reshape(av.shape),)
 
-    return a.tape.record("reshape", out, (a,), backward_fn)
+    return record("reshape", av.reshape(shape), (a,), backward_fn)
 
 
 def concat_last(xs: Sequence):
     vals = [value_of(x) for x in xs]
-    out = np.concatenate(vals, axis=-1)
-    tape = _shared_tape(xs)
-    if tape is None:
-        return out
-    vs = [_lift(tape, x) for x in xs]
-    sizes = [v.shape[-1] for v in vals]
 
     def backward_fn(g):
         grads, start = [], 0
-        for n in sizes:
+        for v in vals:
+            n = v.shape[-1]
             grads.append(g[..., start:start + n])
             start += n
         return grads
 
-    return tape.record("concat", out, tuple(vs), backward_fn)
+    return record("concat", np.concatenate(vals, axis=-1), xs, backward_fn)
 
 
 def relu(a):
     av = value_of(a)
-    out = np.maximum(av, 0.0)
-    if not is_variable(a):
-        return out
-    mask = av > 0  # subgradient at 0 is 0
 
     def backward_fn(g):
-        return (g * mask,)
+        return (g * (av > 0),)  # subgradient at 0 is 0
 
-    return a.tape.record("relu", out, (a,), backward_fn)
+    return record("relu", np.maximum(av, 0.0), (a,), backward_fn)
 
 
 def contract(a, b, axes_a: Sequence[int], axes_b: Sequence[int]):
     """Differentiable pairwise tensor contraction (see tensor.contract)."""
     av, bv = value_of(a), value_of(b)
     out = tc.contract(av, bv, axes_a, axes_b)
-    tape = _shared_tape((a, b))
-    if tape is None:
-        return out
-    va, vb = _lift(tape, a), _lift(tape, b)
     axes_a, axes_b = list(axes_a), list(axes_b)
     free_a = [ax for ax in range(av.ndim) if ax not in axes_a]
     free_b = [ax for ax in range(bv.ndim) if ax not in axes_b]
@@ -295,11 +266,11 @@ def contract(a, b, axes_a: Sequence[int], axes_b: Sequence[int]):
         return np.transpose(raw, src_of_dest)
 
     def backward_fn(g):
-        ga = grad_wrt_a(g) if va.requires_grad else None
-        gb = grad_wrt_b(g) if vb.requires_grad else None
+        ga = grad_wrt_a(g) if needs_grad(a) else None
+        gb = grad_wrt_b(g) if needs_grad(b) else None
         return ga, gb
 
-    return tape.record("contract", out, (va, vb), backward_fn)
+    return record("contract", out, (a, b), backward_fn)
 
 
 def matmul(a, b):

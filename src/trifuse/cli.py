@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -22,6 +23,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+
+MAX_COUNT_DIGITS = 4300  # the longest int Python converts to a string by default
 
 
 class _Atomic:
@@ -239,6 +242,11 @@ def cmd_params(args) -> int:
         ]
     except FusionSpecError as exc:
         raise config.ConfigError(str(exc)) from None
+    # the PF full count concat_dim**p * o must print: bound its digits before
+    # param_shapes builds a p-long shape (concat_dim >= 3 gives over p/3 digits)
+    if p > 3 * MAX_COUNT_DIGITS or p * math.log10(sum(dims)) + math.log10(o) >= MAX_COUNT_DIGITS:
+        raise config.ConfigError(f"the PF p={p} full count would have more than {MAX_COUNT_DIGITS} "
+                                 "digits, too long to print")
     print(f"fusion parameter counts for feature lengths {dims}, fused length {o}:")
     for label, spec in rows:
         print(f"  {label:24} {param_count(spec):>18,}")

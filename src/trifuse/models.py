@@ -104,6 +104,7 @@ TINY_INPUT_LENGTHS = {"eeg": 30, "oxy": 10, "deoxy": 10}
 
 
 SPEC_KEYS = ("type", "modality", "profile", "fusion", "l2_normalize")
+BLOCK_KEYS = ("out_channels", "filter", "stride", "padding")
 FUSION_KEYS = ("kind", "output_dim", "rank", "order", "symmetric", "path", "augment_one")
 
 
@@ -327,16 +328,63 @@ def save_model(model: ModelGraph, outdir) -> None:
         json.dump(doc, fh, indent=1, sort_keys=True)
 
 
+def _plan_ok(plan) -> bool:
+    """Whether a stored extractor plan has the form ``extractor_plan`` gives: int
+    channels, filters and strides of at least 1 and int paddings of at least 0."""
+    blocks = plan.get("blocks") if isinstance(plan, dict) else None
+    return (isinstance(blocks, list) and len(blocks) > 0 and set(plan) == {"in_channels", "blocks"}
+            and type(plan["in_channels"]) is int and plan["in_channels"] >= 1
+            and all(isinstance(b, dict) and set(b) == set(BLOCK_KEYS)
+                    and all(type(b[k]) is int and b[k] >= (k != "padding") for k in BLOCK_KEYS) for b in blocks))
+
+
+def _read_checkpoint(indir) -> dict:
+    """A checkpoint's ``topology.json``, checked to have the form ``save_model``
+    writes: its topology must be the one ``topology`` derives from the spec and
+    extractor plans it records. ``ModelError`` says what is malformed."""
+    try:
+        with open(os.path.join(indir, "topology.json")) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ModelError(f"checkpoint topology.json is not JSON ({exc})") from None
+    fields = {"topology": dict, "params": list, "batchnorm": dict, "digests": dict}
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(k), t) for k, t in fields.items()):
+        raise ModelError("checkpoint topology.json needs a topology, a params list, batchnorm and digests")
+    if not all(isinstance(v, str) for v in doc["params"] + list(doc["digests"].values())):
+        raise ModelError("checkpoint params and digests must be strings")
+    if not all(isinstance(meta, dict) and set(meta) == {"eps", "momentum"}
+               and all(type(v) in (int, float) and 0 <= v < math.inf for v in meta.values())
+               for meta in doc["batchnorm"].values()):
+        raise ModelError("checkpoint batchnorm entries must hold a finite eps and momentum, each >= 0")
+    stored, plans = doc["topology"], doc["topology"].get("extractors")
+    if not isinstance(plans, dict) or not all(_plan_ok(plan) for plan in plans.values()):
+        raise ModelError("checkpoint topology has a malformed extractor plan")
+    spec = {k: stored.get(k) for k in SPEC_KEYS}
+    if spec["type"] == "single":
+        del spec["l2_normalize"]  # recorded as false, but a single model's spec takes none
+    elif isinstance(spec["fusion"], dict):
+        spec["fusion"] = {k: v for k, v in spec["fusion"].items() if k != "input_dims"}
+    try:
+        topo = doc["topology"] = {**topology(spec, plans), "seed": stored.get("seed")}
+    except ValueError as exc:
+        raise ModelError(f"checkpoint topology is invalid: {exc}") from None
+    except KeyError as exc:
+        raise ModelError(f"checkpoint topology has no extractor plan for {exc}") from None
+    if topo != stored:
+        keys = sorted(k for k in topo.keys() | stored.keys() if topo.get(k) != stored.get(k))
+        raise ModelError(f"checkpoint topology's {', '.join(map(repr, keys))} differ from what its spec describes")
+    return doc
+
+
 def checkpoint_digest_problems(indir) -> list[str]:
     """Parameter files whose sha256 no longer matches the checkpoint manifest."""
-    with open(os.path.join(indir, "topology.json")) as fh:
-        doc = json.load(fh)
+    doc = _read_checkpoint(indir)
     problems = []
     for name in doc["params"]:
         path = os.path.join(indir, "params", name + ".ten")
         if not os.path.exists(path):
             problems.append(f"{name}: parameter file missing")
-        elif doc.get("digests", {}).get(name) != _digest(path):
+        elif doc["digests"].get(name) != _digest(path):
             problems.append(f"{name}: digest mismatch (file corrupted or replaced)")
     return problems
 
@@ -353,9 +401,14 @@ def _load_checked(indir, rel: str, want: tuple) -> np.ndarray:
 
 def load_model(indir) -> ModelGraph:
     """Load a checkpoint, checking every array against the shape that its
-    topology allocates; raises ``ModelError`` naming the first bad file."""
-    with open(os.path.join(indir, "topology.json")) as fh:
-        doc = json.load(fh)
+    topology allocates; raises ``ModelError`` naming the first bad file or the
+    malformed part of ``topology.json``."""
+    doc = _read_checkpoint(indir)
+    fusion = doc["topology"]["fusion"]
+    # a non-symmetric factorized PF layer stores one factor per order: bound the
+    # order by the stored names before param_shapes lists a shape per factor
+    if fusion and fusion["kind"] == "PF" and not fusion["symmetric"] and fusion["order"] > len(doc["params"]):
+        raise ModelError("checkpoint's parameter names do not match its topology")
     shapes = param_shapes(doc["topology"])
     bn_names = sorted(k[:-len(".gamma")] for k in shapes if k.endswith(".gamma"))
     if sorted(doc["params"]) != sorted(shapes) or sorted(doc["batchnorm"]) != bn_names:

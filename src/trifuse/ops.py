@@ -2,8 +2,8 @@
 global average pooling, softmax cross-entropy and L2 normalization.
 
 Ops accept plain ndarrays (pure evaluation) or autodiff Variables (recorded on
-the tape). Convolution and pooling work on ``[channels, time]`` inputs or
-batched ``[batch, channels, time]``.
+the tape through ``autodiff.record``). Convolution and pooling work on
+``[channels, time]`` inputs or batched ``[batch, channels, time]``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff as ad
-from .autodiff import is_variable, value_of
+from .autodiff import needs_grad, record, value_of
 
 
 class GeometryError(ValueError):
@@ -68,23 +68,17 @@ def conv1d(x, w, bias, stride: int = 1, padding: int = 0, name: str = "conv1d"):
     if single:
         out = out[0]
 
-    tape = ad._shared_tape((x, w, bias))
-    if tape is None:
-        return out
-    vx, vw, vb2 = ad._lift(tape, x), ad._lift(tape, w), ad._lift(tape, bias)
-    t_pad = t_in + 2 * padding
-
     def backward_fn(g):
         gb3 = g[None] if single else g
-        grad_bias = gb3.sum(axis=(0, 2)) if vb2.requires_grad else None
+        grad_bias = gb3.sum(axis=(0, 2)) if needs_grad(bias) else None
         g2 = None
-        if vw.requires_grad or vx.requires_grad:
+        if needs_grad(w) or needs_grad(x):
             g2 = np.ascontiguousarray(gb3.transpose(1, 0, 2)).reshape(out_ch, batch * t_out)
-        grad_w = (g2 @ cols.T).reshape(wv.shape) if vw.requires_grad else None
+        grad_w = (g2 @ cols.T).reshape(wv.shape) if needs_grad(w) else None
         grad_x = None
-        if vx.requires_grad:
+        if needs_grad(x):
             gwin = (w2.T @ g2).reshape(in_ch, filt, batch, t_out)
-            gxp = np.zeros((batch, in_ch, t_pad))
+            gxp = np.zeros((batch, in_ch, t_in + 2 * padding))
             for k in range(filt):
                 gxp[:, :, k:k + stride * t_out:stride] += gwin[:, k].transpose(1, 0, 2)
             grad_x = gxp[:, :, padding:padding + t_in]
@@ -92,7 +86,7 @@ def conv1d(x, w, bias, stride: int = 1, padding: int = 0, name: str = "conv1d"):
                 grad_x = grad_x[0]
         return grad_x, grad_w, grad_bias
 
-    return tape.record(name, out, (vx, vw, vb2), backward_fn)
+    return record(name, out, (x, w, bias), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +104,6 @@ class BatchNormState:
     @classmethod
     def fresh(cls, channels: int, eps: float = 1e-5, momentum: float = 0.1) -> "BatchNormState":
         return cls(np.zeros(channels), np.ones(channels), eps, momentum)
-
-    def copy(self) -> "BatchNormState":
-        return BatchNormState(self.running_mean.copy(), self.running_var.copy(), self.eps, self.momentum)
 
 
 def batchnorm_train(x, gamma, beta, state: BatchNormState, update_running: bool = True):
@@ -144,27 +135,22 @@ def batchnorm_train(x, gamma, beta, state: BatchNormState, update_running: bool 
         state.running_var *= 1.0 - m
         state.running_var += m * var * (n / (n - 1.0))  # unbiased for running stats
 
-    tape = ad._shared_tape((x, gamma, beta))
-    if tape is None:
-        return out
-    vx, vg, vb = ad._lift(tape, x), ad._lift(tape, gamma), ad._lift(tape, beta)
-
     def backward_fn(g):
         grad_beta = g.sum(axis=(0, 2))
         gx = g * xhat
         grad_gamma = gx.sum(axis=(0, 2))
         grad_x = None
-        if vx.requires_grad:
+        if needs_grad(x):
             # (ivar/n) * (n*gamma*g - s1 - xhat*s2), s1 = gamma*grad_beta, s2 = gamma*grad_gamma
             coef = gv * ivar / n
             np.multiply(xhat, (coef * grad_gamma)[None, :, None], out=gx)
             gx += (coef * grad_beta)[None, :, None]
             grad_x = np.multiply(g, (n * coef)[None, :, None])
             grad_x -= gx
-        return (grad_x, grad_gamma if vg.requires_grad else None,
-                grad_beta if vb.requires_grad else None)
+        return (grad_x, grad_gamma if needs_grad(gamma) else None,
+                grad_beta if needs_grad(beta) else None)
 
-    return tape.record("batchnorm", out, (vx, vg, vb), backward_fn)
+    return record("batchnorm", out, (x, gamma, beta), backward_fn)
 
 
 def batchnorm_eval(x, gamma, beta, state: BatchNormState):
@@ -181,23 +167,18 @@ def batchnorm_eval(x, gamma, beta, state: BatchNormState):
     if single:
         out = out[0]
 
-    tape = ad._shared_tape((x, gamma, beta))
-    if tape is None:
-        return out
-    vx, vg, vb = ad._lift(tape, x), ad._lift(tape, gamma), ad._lift(tape, beta)
-
     def backward_fn(g):
         gb3 = g[None] if single else g
-        grad_beta = gb3.sum(axis=(0, 2)) if vb.requires_grad else None
-        grad_gamma = (gb3 * xhat).sum(axis=(0, 2)) if vg.requires_grad else None
+        grad_beta = gb3.sum(axis=(0, 2)) if needs_grad(beta) else None
+        grad_gamma = (gb3 * xhat).sum(axis=(0, 2)) if needs_grad(gamma) else None
         grad_x = None
-        if vx.requires_grad:
+        if needs_grad(x):
             grad_x = gb3 * (gv * ivar)[None, :, None]
             if single:
                 grad_x = grad_x[0]
         return grad_x, grad_gamma, grad_beta
 
-    return tape.record("batchnorm_eval", out, (vx, vg, vb), backward_fn)
+    return record("batchnorm_eval", out, (x, gamma, beta), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +189,12 @@ def global_avgpool(x):
     xv = value_of(x)
     if xv.ndim not in (2, 3) or xv.shape[-1] < 1:
         raise ValueError(f"global_avgpool expects [channels, time] or batched, got {xv.shape}")
-    out = xv.mean(axis=-1)
-    if not is_variable(x):
-        return out
     t = xv.shape[-1]
 
     def backward_fn(g):
         return (np.repeat(g[..., None], t, axis=-1) / t,)
 
-    return x.tape.record("global_avgpool", out, (x,), backward_fn)
+    return record("global_avgpool", xv.mean(axis=-1), (x,), backward_fn)
 
 
 def linear_forward(x, w, bias):
@@ -248,16 +226,13 @@ def softmax_crossentropy(logits, labels):
     z = lv - lv.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     out = np.mean(lse - z[np.arange(batch), labels])
-    if not is_variable(logits):
-        return out
-    probs = np.exp(z - lse[:, None])
 
     def backward_fn(g):
-        grad = probs.copy()
+        grad = np.exp(z - lse[:, None])  # the softmax probabilities
         grad[np.arange(batch), labels] -= 1.0
         return (grad * (g / batch),)
 
-    return logits.tape.record("softmax_ce", out, (logits,), backward_fn)
+    return record("softmax_ce", out, (logits,), backward_fn)
 
 
 def l2_normalize(y, eps: float = 1e-12):
@@ -265,16 +240,13 @@ def l2_normalize(y, eps: float = 1e-12):
     yv = value_of(y)
     norm = np.sqrt((yv * yv).sum(axis=-1, keepdims=True))
     denom = np.maximum(norm, eps)
-    out = yv / denom
-    if not is_variable(y):
-        return out
-    guarded = norm[..., 0] <= eps
 
     def backward_fn(g):
         dot = (yv * g).sum(axis=-1, keepdims=True)
         grad = g / denom - yv * (dot / denom**3)
+        guarded = norm <= eps
         if np.any(guarded):
-            grad = np.where(guarded[..., None], g / eps, grad)
+            grad = np.where(guarded, g / eps, grad)
         return (grad,)
 
-    return y.tape.record("l2_normalize", out, (y,), backward_fn)
+    return record("l2_normalize", yv / denom, (y,), backward_fn)

@@ -200,6 +200,12 @@ def predict_labels(model: ModelGraph, dataset: SegmentDataset, idx: np.ndarray,
     return preds
 
 
+def _breakdown(correct: np.ndarray, offsets: np.ndarray, subjects: np.ndarray) -> tuple[dict, dict]:
+    """Accuracy of a per-segment correct mask by window offset and by subject."""
+    return ({int(off): float(correct[offsets == off].mean()) for off in np.unique(offsets)},
+            {str(s): float(correct[subjects == s].mean()) for s in np.unique(subjects)})
+
+
 def evaluate(model: ModelGraph, dataset: SegmentDataset, idx: np.ndarray,
              eval_batch: int = 256, trial_vote: bool = False) -> dict:
     """Segment-level accuracy, split by window offset and by subject."""
@@ -207,18 +213,9 @@ def evaluate(model: ModelGraph, dataset: SegmentDataset, idx: np.ndarray,
     preds = predict_labels(model, dataset, idx, eval_batch)
     labels = dataset.labels[idx]
     correct = preds == labels
-    out = {
-        "accuracy": float(correct.mean()),
-        "per_offset": {
-            int(off): float(correct[dataset.offsets[idx] == off].mean())
-            for off in np.unique(dataset.offsets[idx])
-        },
-        "per_subject": {
-            str(s): float(correct[dataset.subjects[idx] == s].mean())
-            for s in np.unique(dataset.subjects[idx])
-        },
-        "correct": correct,
-    }
+    per_offset, per_subject = _breakdown(correct, dataset.offsets[idx], dataset.subjects[idx])
+    out = {"accuracy": float(correct.mean()), "per_offset": per_offset, "per_subject": per_subject,
+           "correct": correct}
     if trial_vote:
         trial_ok = []
         for tid in np.unique(dataset.trial_ids[idx]):
@@ -338,14 +335,7 @@ def cross_validate(model_spec: dict, dataset: SegmentDataset, k: int = 5,
     assert covered.all(), "cross validation must cover every segment exactly once"
 
     accs = [r.test_accuracy for r in fold_reports]
-    per_offset = {
-        int(off): float(all_correct[dataset.offsets == off].mean())
-        for off in np.unique(dataset.offsets)
-    }
-    per_subject = {
-        str(s): float(all_correct[dataset.subjects == s].mean())
-        for s in np.unique(dataset.subjects)
-    }
+    per_offset, per_subject = _breakdown(all_correct, dataset.offsets, dataset.subjects)
     subject_average = float(np.mean(list(per_subject.values()))) if len(per_subject) > 1 else None
     trial_accs = [r.trial_accuracy for r in fold_reports] if config.trial_vote else None
     return CvReport(

@@ -1,5 +1,8 @@
 """Tape mechanics, backward correctness and the finite-difference checker."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,83 @@ def test_ops_on_plain_arrays_return_arrays():
     out = ad.mul(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
     assert isinstance(out, np.ndarray)
     assert np.array_equal(out, [3.0, 8.0])
+
+
+# every differentiable op: (node name, call, operand shapes)
+OPS = {
+    "add": ("add", ad.add, [(3, 4), (4,)]),
+    "mul": ("mul", ad.mul, [(3, 4), (3, 4)]),
+    "sum_all": ("sum_all", ad.sum_all, [(3,)]),
+    "sum_axis": ("sum_axis", lambda a: ad.sum_axis(a, 1), [(3, 4)]),
+    "reshape": ("reshape", lambda a: ad.reshape(a, (4, 3)), [(3, 4)]),
+    "concat_last": ("concat", lambda *xs: ad.concat_last(list(xs)), [(2, 3), (2, 2), (2, 1)]),
+    "relu": ("relu", ad.relu, [(3, 4)]),
+    "contract": ("contract", lambda a, b: ad.contract(a, b, [1], [0]), [(2, 3), (3, 4)]),
+    "conv1d": ("conv1d", ops.conv1d, [(2, 3, 8), (4, 3, 3), (4,)]),
+    "batchnorm_train": ("batchnorm", lambda x, g, b: ops.batchnorm_train(x, g, b, ops.BatchNormState.fresh(3)),
+                        [(4, 3, 5), (3,), (3,)]),
+    "batchnorm_eval": ("batchnorm_eval", lambda x, g, b: ops.batchnorm_eval(x, g, b, ops.BatchNormState.fresh(3)),
+                       [(4, 3, 5), (3,), (3,)]),
+    "global_avgpool": ("global_avgpool", ops.global_avgpool, [(2, 3, 5)]),
+    "softmax_crossentropy": ("softmax_ce", lambda z: ops.softmax_crossentropy(z, np.array([0, 1, 1])), [(3, 2)]),
+    "l2_normalize": ("l2_normalize", ops.l2_normalize, [(3, 4)]),
+}
+
+
+def _operands(shapes):
+    rng = np.random.default_rng(0)
+    return [rng.normal(size=shape) for shape in shapes]
+
+
+class TestRecord:
+    @pytest.mark.parametrize("name", OPS)
+    def test_plain_arrays_give_plain_output(self, name):
+        _, op, shapes = OPS[name]
+        out = op(*_operands(shapes))
+        assert not isinstance(out, ad.Variable)
+        assert isinstance(out, (np.ndarray, np.floating))
+
+    @pytest.mark.parametrize("name", OPS)
+    def test_one_variable_records_one_node_over_lifted_constants(self, name):
+        node_name, op, shapes = OPS[name]
+        values = _operands(shapes)
+        for pos in range(len(values)):
+            tape = ad.Tape()
+            var = tape.variable(values[pos])
+            out = op(*[var if i == pos else v for i, v in enumerate(values)])
+            assert len(tape.nodes) == 1
+            node = tape.nodes[0]
+            assert node.name == node_name and node.out is out and out.requires_grad
+            assert len(node.parents) == len(values)
+            assert all(isinstance(p, ad.Variable) and p.tape is tape for p in node.parents)
+            assert node.parents[pos] is var
+            for i, (parent, value) in enumerate(zip(node.parents, values)):
+                if i != pos:
+                    assert not parent.requires_grad
+                    assert np.array_equal(parent.value, value)
+            # constants are lifted in operand order, before the output
+            assert [p.node_id for p in node.parents if p is not var] == sorted(
+                p.node_id for p in node.parents if p is not var)
+            assert out.node_id == max(p.node_id for p in node.parents) + 1
+
+    @pytest.mark.parametrize("name", [n for n, (_, _, shapes) in OPS.items() if len(shapes) > 1])
+    def test_operands_on_two_tapes_rejected(self, name):
+        _, op, shapes = OPS[name]
+        values = _operands(shapes)
+        t1, t2 = ad.Tape(), ad.Tape()
+        with pytest.raises(ad.AutodiffError, match="different tapes"):
+            op(t1.variable(values[0]), t2.variable(values[1]), *values[2:])
+
+
+def test_only_autodiff_records_nodes():
+    src = pathlib.Path(ad.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "autodiff.py":
+            continue
+        text = path.read_text()
+        assert ".record(" not in text, f"{path.name} records a tape node itself"
+        assert not re.search(r"\b(?:ad|autodiff)\._|from \.autodiff import[^\n]*\b_", text), \
+            f"{path.name} uses a private autodiff name"
 
 
 class TestGradCheck:

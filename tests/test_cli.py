@@ -279,6 +279,29 @@ class TestVerifyCommand:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "fusion.factor2.ten has shape (24, 16, 1), expected (24, 16, 16)" in captured.err
 
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc["topology"].pop("head"),
+        lambda doc: doc["topology"].update(extractors=[]),
+        lambda doc: doc["topology"]["extractors"]["oxy"]["blocks"][0].update(stride="1"),
+        lambda doc: doc["topology"].update(fusion={"kind": "PF"}),
+        lambda doc: doc.pop("topology"),
+        lambda doc: doc.pop("params"),
+        lambda doc: doc["batchnorm"]["oxy.bn0"].pop("eps"),
+        lambda doc: doc.update(digests="none"),
+    ], ids=["no-head", "extractors-list", "stride-string", "fusion-on-single", "no-topology",
+            "no-params", "batchnorm-no-eps", "digests-string"])
+    def test_malformed_topology_json_is_data_error(self, tmp_path, capsys, mutate):
+        models.save_model(models.build_from_spec({"type": "single", "modality": "oxy", "profile": "desk"}),
+                          tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "topology.json"
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        assert run("verify", "--filter", "checkpoint", "--checkpoint", str(tmp_path / "ckpt")) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestParamsCommand:
     def test_prints_reference_counts(self, capsys):
@@ -289,13 +312,20 @@ class TestParamsCommand:
         assert "835,600" in out
 
     @pytest.mark.parametrize("flags", [["--rank", "0"], ["--order", "0"], ["--output-dim", "0"],
-                                       ["--dims", "0", "1", "1"], ["--rank", "-3"]],
-                             ids=["rank-0", "order-0", "output-dim-0", "dims-0", "rank-negative"])
+                                       ["--dims", "0", "1", "1"], ["--rank", "-3"], ["--order", "30000"]],
+                             ids=["rank-0", "order-0", "output-dim-0", "dims-0", "rank-negative",
+                                  "order-unprintable"])
     def test_bad_values_fail_closed(self, capsys, flags):
         assert run("params", *flags) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_order_bound_is_the_print_limit(self, capsys):
+        # 408**1646 * 128 has 4300 digits, 408**1647 * 128 has 4303
+        assert run("params", "--order", "1646") == 0
+        assert run("params", "--order", "1647") == 2
+        assert "more than 4300 digits" in capsys.readouterr().err
 
 
 class TestUsageErrors:

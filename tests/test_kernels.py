@@ -11,6 +11,7 @@ arithmetic is unchanged, within 1e-12 relative where only the summation order
 moved.
 """
 
+import copy
 import math
 import struct
 
@@ -459,7 +460,7 @@ def _bn_grads(fn, x, gamma, beta, upstream):
 class TestBatchNorm:
     def test_train_forward_and_running_stats_bit_identical(self, bn_case):
         x, gamma, beta, _, state = bn_case
-        ref_state = state.copy()
+        ref_state = copy.deepcopy(state)
         out = ops.batchnorm_train(x, gamma, beta, state)
         ref, _ = bn_train_reference(x, gamma, beta, ref_state)
         assert np.array_equal(out, ref)
@@ -471,7 +472,7 @@ class TestBatchNorm:
         out, gx, gg, gb = _bn_grads(
             lambda a, b, c: ops.batchnorm_train(a, b, c, state, update_running=False),
             x, gamma, beta, upstream)
-        ref, ref_backward = bn_train_reference(x, gamma, beta, state.copy())
+        ref, ref_backward = bn_train_reference(x, gamma, beta, copy.deepcopy(state))
         assert np.array_equal(out, ref)
         for got, want in zip((gx, gg, gb), ref_backward(upstream)):
             assert rel_err(got, want) <= RTOL

@@ -1,10 +1,13 @@
 """Extractor geometry, classifier assembly, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_data import _mutated, _paths
 
 from trifuse import models, ops
 from trifuse.fusion import FusionSpecError, MaterializeError
@@ -239,7 +242,33 @@ SHAPE_SPECS = {
 }
 
 
+@pytest.fixture(scope="module")
+def checkpoint_docs(tmp_path_factory):
+    """Valid desk checkpoints on disk, by directory, with their topology.json documents."""
+    docs = {}
+    for name in ("single-eeg", "pf2-aug", "tf-full"):
+        ckpt = tmp_path_factory.mktemp(name)
+        models.save_model(models.build_from_spec(SHAPE_SPECS[name]), ckpt)
+        docs[ckpt] = json.loads((ckpt / "topology.json").read_text())
+    return docs
+
+
 class TestCheckpoint:
+    @settings(max_examples=300, deadline=None)
+    @given(choice=st.data())
+    def test_mutated_topology_json_raises_only_model_error(self, checkpoint_docs, choice):
+        ckpt = choice.draw(st.sampled_from(sorted(checkpoint_docs)))
+        doc = checkpoint_docs[ckpt]
+        path = choice.draw(st.sampled_from(list(_paths(doc))))
+        delete = bool(path) and choice.draw(st.booleans())
+        mutated = _mutated(doc, path, None if delete else choice.draw(JSON), delete)
+        (ckpt / "topology.json").write_text(json.dumps(mutated))
+        for read in (models.load_model, models.checkpoint_digest_problems):
+            try:
+                read(ckpt)
+            except models.ModelError:
+                pass
+
     @pytest.mark.parametrize("spec", SHAPE_SPECS.values(), ids=list(SHAPE_SPECS))
     def test_param_shapes_match_allocation(self, spec):
         model = models.build_from_spec(spec)
