@@ -242,14 +242,20 @@ def cmd_params(args) -> int:
         ]
     except FusionSpecError as exc:
         raise config.ConfigError(str(exc)) from None
-    # the PF full count concat_dim**p * o must print: bound its digits before
-    # param_shapes builds a p-long shape (concat_dim >= 3 gives over p/3 digits)
+    # every count must print: bound the PF full count concat_dim**p * o by its log
+    # before param_shapes builds a p-long shape (concat_dim >= 3 gives over p/3
+    # digits); the other counts are products of a few inputs, cheap to compute
     if p > 3 * MAX_COUNT_DIGITS or p * math.log10(sum(dims)) + math.log10(o) >= MAX_COUNT_DIGITS:
-        raise config.ConfigError(f"the PF p={p} full count would have more than {MAX_COUNT_DIGITS} "
+        too_long = f"PF p={p} full"
+    else:
+        counts = [(label, param_count(spec)) for label, spec in rows]
+        too_long = next((label for label, n in counts if n >= 10**MAX_COUNT_DIGITS), None)
+    if too_long:
+        raise config.ConfigError(f"the {too_long} count would have more than {MAX_COUNT_DIGITS} "
                                  "digits, too long to print")
     print(f"fusion parameter counts for feature lengths {dims}, fused length {o}:")
-    for label, spec in rows:
-        print(f"  {label:24} {param_count(spec):>18,}")
+    for label, n in counts:
+        print(f"  {label:24} {n:>18,}")
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from . import ops
 from .autodiff import value_of
-from .fusion import FusionSpec, FusionSpecError, fuse, init_fusion_params
+from .fusion import MATERIALIZE_LIMIT, FusionSpec, FusionSpecError, MaterializeError, fuse, init_fusion_params
 from .fusion import param_count as fusion_param_count, param_shapes as fusion_param_shapes
 from .ops import BatchNormState, conv_out_length
 from .tensor import ShapeError, load_tensor, save_tensor
@@ -146,8 +146,16 @@ def topology(spec: dict, plans: dict | None = None) -> dict:
         raise ModelError(f"l2_normalize must be true or false, got {l2_normalize!r}")
     plans = plans if plans is not None else extractor_plans(profile)
     fusion_spec = FusionSpec(input_dims=tuple(feature_length(plans[m]) for m in MODALITIES), **fusion)
-    if fusion_spec.path == "full":
+    if fusion_spec.path == "full" or fusion_spec.kind == "LF":  # LF's one weight is its full tensor
         fusion_spec.check_materializable()
+    else:
+        # TF's factors hold concat_dim x R x O entries, PF's p times that (a symmetric
+        # layer multiplies p projections): an O(1) bound before anything order-sized
+        order = fusion_spec.order if fusion_spec.kind == "PF" else 1
+        entries = order * fusion_spec.concat_dim * fusion_spec.rank * fusion_spec.output_dim
+        if entries > MATERIALIZE_LIMIT:
+            raise MaterializeError(f"{fusion_spec.kind} factors would hold {entries} entries, "
+                                   f"over the {MATERIALIZE_LIMIT} guard")
     return {
         "type": "fused", "modality": None, "profile": profile,
         "extractors": {m: plans[m] for m in MODALITIES},

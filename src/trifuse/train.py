@@ -217,11 +217,11 @@ def evaluate(model: ModelGraph, dataset: SegmentDataset, idx: np.ndarray,
     out = {"accuracy": float(correct.mean()), "per_offset": per_offset, "per_subject": per_subject,
            "correct": correct}
     if trial_vote:
-        trial_ok = []
-        for tid in np.unique(dataset.trial_ids[idx]):
-            rows = dataset.trial_ids[idx] == tid
+        trial_ids, trial_ok = dataset.trial_ids[idx], []
+        for tid in np.unique(trial_ids):
+            rows = trial_ids == tid
             votes = np.bincount(preds[rows], minlength=2)
-            trial_ok.append(int(np.argmax(votes)) == int(dataset.labels[idx][rows][0]))
+            trial_ok.append(int(np.argmax(votes)) == int(labels[rows][0]))
         out["trial_accuracy"] = float(np.mean(trial_ok))
     return out
 
@@ -294,8 +294,20 @@ def _fold_seed(base_seed: int, fold: int) -> int:
     return int(np.random.SeedSequence(base_seed, spawn_key=(fold,)).generate_state(1)[0])
 
 
+# a cv pool worker's dataset, set once by _init_fold_worker; its tasks carry None
+# in the dataset slot. It stays None in the process that calls cross_validate.
+_worker_dataset: SegmentDataset | None = None
+
+
+def _init_fold_worker(dataset: SegmentDataset) -> None:
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
 def _run_fold(args):
     model_spec, dataset, train_idx, test_idx, config, fold = args
+    if dataset is None:
+        dataset = _worker_dataset
     model = build_from_spec(model_spec, seed=_fold_seed(config.seed, fold))
     return _train(model, dataset, (train_idx, test_idx), config, None, fold)
 
@@ -311,15 +323,19 @@ def cross_validate(model_spec: dict, dataset: SegmentDataset, k: int = 5,
     """
     config = config or TrainConfig()
     plan = make_folds(dataset, k=k, seed=config.seed)
+    # a pool worker gets the dataset once, through its initializer: inherited
+    # under fork, pickled once per worker otherwise; never once per task
+    task_dataset = None if jobs > 1 else dataset
     tasks = []
     for fold in range(k):
         train_idx, test_idx = fold_indices(dataset, plan, fold)
         fold_set = set(plan.fold_of(t) for t in dataset.trial_ids[test_idx])
         assert fold_set == {fold} and len(np.intersect1d(train_idx, test_idx)) == 0
-        tasks.append((model_spec, dataset, train_idx, test_idx, config, fold))
+        tasks.append((model_spec, task_dataset, train_idx, test_idx, config, fold))
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_fold_worker,
+                                 initargs=(dataset,)) as pool:
             results = list(pool.map(_run_fold, tasks))
     else:
         results = [_run_fold(t) for t in tasks]

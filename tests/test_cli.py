@@ -19,6 +19,7 @@ FAIL_CLOSED_PROBES = {
     "output-dim-0": (["--model", "lf", "--output-dim", "0"], {}),
     "symmetric-tf": (["--model", "tf", "--symmetric"], {}),
     "tf-full-over-guard": (["--model", "tf", "--path", "full", "--profile", "full"], {}),
+    "pf-order-over-guard": (["--model", "pf", "--order", "1000000000"], {}),
     "batch-size-0": (["--model", "oxy", "--batch-size", "0"], {}),
     "eval-batch-0": (["--model", "oxy"], {"train": {"eval_batch": 0}}),
     "jobs-0": (["--model", "oxy", "--jobs", "0"], {}),
@@ -312,9 +313,10 @@ class TestParamsCommand:
         assert "835,600" in out
 
     @pytest.mark.parametrize("flags", [["--rank", "0"], ["--order", "0"], ["--output-dim", "0"],
-                                       ["--dims", "0", "1", "1"], ["--rank", "-3"], ["--order", "30000"]],
+                                       ["--dims", "0", "1", "1"], ["--rank", "-3"], ["--order", "30000"],
+                                       ["--order", "1", "--dims", *[str(10**1500)] * 3]],
                              ids=["rank-0", "order-0", "output-dim-0", "dims-0", "rank-negative",
-                                  "order-unprintable"])
+                                  "order-unprintable", "tf-full-unprintable"])
     def test_bad_values_fail_closed(self, capsys, flags):
         assert run("params", *flags) == 2
         captured = capsys.readouterr()

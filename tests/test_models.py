@@ -192,6 +192,16 @@ BAD_SPECS = {
                           models.ModelError, "fused model takes no modality"),
     "tf-full-over-guard": ({"type": "fused", "fusion": {"kind": "TF", "output_dim": 128, "path": "full"}},
                            MaterializeError, "guard"),
+    # bounded in O(1), before one factor shape per order is listed
+    "pf-order-over-guard": ({"type": "fused", "profile": "desk",
+                             "fusion": {"kind": "PF", "order": 10**9, "rank": 4, "output_dim": 8}},
+                            MaterializeError, "guard"),
+    "pf-symmetric-order-over-guard": ({"type": "fused", "profile": "desk", "fusion": {
+        "kind": "PF", "order": 10**9, "rank": 4, "output_dim": 8, "symmetric": True}}, MaterializeError, "guard"),
+    "tf-rank-over-guard": ({"type": "fused", "fusion": {"kind": "TF", "rank": 10**6, "output_dim": 128}},
+                           MaterializeError, "guard"),
+    "lf-output-dim-over-guard": ({"type": "fused", "fusion": {"kind": "LF", "output_dim": 10**6}},
+                                 MaterializeError, "guard"),
 }
 
 

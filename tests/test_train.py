@@ -2,7 +2,12 @@
 
 import gc
 import json
+import os
+import pickle
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,8 @@ def small_dataset(generator="additive", n_trials=16, segments_per_trial=1, seed=
         data.SynthSpec(generator, n_trials=n_trials, segments_per_trial=segments_per_trial,
                        noise=noise), seed=seed)
 
+
+ROOT = Path(__file__).resolve().parents[1]
 
 OXY_SPEC = {"type": "single", "modality": "oxy", "profile": "desk"}
 PF3_DESK = {"type": "fused", "profile": "desk",
@@ -192,6 +199,47 @@ class TestCrossValidation:
         parallel = train.cross_validate(OXY_SPEC, ds, k=3, config=cfg, jobs=2)
         assert json.dumps(serial.to_dict(), sort_keys=True) == \
             json.dumps(parallel.to_dict(), sort_keys=True)
+
+    def test_pool_tasks_carry_no_dataset(self, monkeypatch):
+        # the workers get the dataset once, through the pool's initializer; a
+        # task holds only the spec, the index arrays, the config and the fold
+        sizes = []
+
+        class RecordingPool(train.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                tasks = list(iterables[0])
+                sizes.extend(len(pickle.dumps(task)) for task in tasks)
+                return super().map(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(train, "ProcessPoolExecutor", RecordingPool)
+        ds = small_dataset(n_trials=40)
+        assert sum(a.nbytes for a in (ds.eeg, ds.oxy, ds.deoxy)) > 5 * 2**20
+        cfg = TrainConfig(epochs=1, batch_size=8, seed=4)
+        parallel = train.cross_validate(OXY_SPEC, ds, k=3, config=cfg, jobs=2)
+        assert len(sizes) == 3 and max(sizes) < 64 * 2**10
+        assert train._worker_dataset is None
+        assert len(parallel.fold_accuracies) == 3
+
+    def test_parallel_folds_under_spawn(self):
+        # a spawned worker starts from a fresh import: the initializer and its
+        # dataset must survive pickling (the default start method from Python 3.14 is forkserver)
+        ds = small_dataset(n_trials=12)
+        cfg = TrainConfig(epochs=1, batch_size=8, seed=4)
+        serial = train.cross_validate(OXY_SPEC, ds, k=3, config=cfg, jobs=1)
+        script = (
+            "import json, multiprocessing, sys\n"
+            "from trifuse import data, train\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "ds = data.synth_dataset(data.SynthSpec('additive', n_trials=12, noise=0.1), seed=0)\n"
+            "cfg = train.TrainConfig(epochs=1, batch_size=8, seed=4)\n"
+            f"report = train.cross_validate({OXY_SPEC!r}, ds, k=3, config=cfg, jobs=2)\n"
+            "sys.stdout.write(json.dumps(report.to_dict(), sort_keys=True))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == json.dumps(serial.to_dict(), sort_keys=True)
 
     def test_trial_vote_metric_optional(self):
         ds = small_dataset(n_trials=12, segments_per_trial=3)
