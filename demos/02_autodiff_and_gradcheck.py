@@ -33,7 +33,7 @@ state = ops.BatchNormState.fresh(4)
 
 def build(tape, pv):
     h = ops.conv1d(pv["x"], pv["w"], pv["b"], stride=2, name="demo.conv")
-    h = ops.batchnorm_train(h, pv["gamma"], pv["beta"], state, update_running=False)
+    h = ops.batchnorm_train(h, pv["gamma"], pv["beta"], state)
     h = ad.relu(h)
     z = ops.global_avgpool(h)
     return ad.sum_all(ad.mul(z, z))
@@ -55,7 +55,7 @@ labels = np.array([0, 1])
 
 
 def model_loss(tape, pvars):
-    logits = model.forward(inputs, pvars, update_running=False)
+    logits = model.forward(inputs, pvars)
     return ops.softmax_crossentropy(logits, labels)
 
 

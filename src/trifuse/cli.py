@@ -15,6 +15,7 @@ import os
 import shutil
 import sys
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__, config, data, models, train, verify
 from .fusion import FusionSpec, FusionSpecError, param_count
@@ -314,7 +315,8 @@ def main(argv=None) -> int:
     except config.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (data.DataError, models.ModelError, train.TrainingDiverged, FloatingPointError, OSError) as exc:
+    except (data.DataError, models.ModelError, train.TrainingDiverged, FloatingPointError, OSError,
+            BrokenProcessPool) as exc:  # BrokenProcessPool: a cv fold worker died
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

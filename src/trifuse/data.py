@@ -47,6 +47,9 @@ class ManifestError(DataError):
         self.problems = list(problems)
         super().__init__("manifest validation failed: " + "; ".join(self.problems))
 
+    def __reduce__(self):  # unpickling calls cls(*args): rebuild from the list, not the message
+        return type(self), (self.problems,)
+
 
 @dataclass
 class TrialRecording:

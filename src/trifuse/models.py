@@ -186,10 +186,12 @@ def param_shapes(topology: dict) -> dict[str, tuple[int, ...]]:
 
 
 class ModelGraph:
-    """A classifier: named parameter store + topology descriptor + mode flag.
+    """A classifier: named parameter store + batch-norm state + topology descriptor.
 
-    ``forward`` accepts plain ndarrays (pure evaluation) or, for training, a
-    dict of autodiff Variables standing in for the stored parameters.
+    ``forward(inputs)`` evaluates with the stored parameters and running
+    statistics, a fixed map of each sample. ``forward(inputs, params)`` is the
+    training forward over ``params`` (autodiff Variables standing in for the
+    stored arrays): batch norm uses batch statistics and updates the running ones.
     """
 
     def __init__(self, topology: dict, params: dict[str, np.ndarray], state: dict[str, BatchNormState]):
@@ -197,17 +199,10 @@ class ModelGraph:
         self.fusion_spec = FusionSpec(**topology["fusion"]) if topology["fusion"] else None
         self.params = params
         self.state = state
-        self.mode = "train"
 
     # -- forward ------------------------------------------------------------
 
-    def set_mode(self, mode: str) -> "ModelGraph":
-        if mode not in ("train", "eval"):
-            raise ModelError(f"mode must be train or eval, got {mode!r}")
-        self.mode = mode
-        return self
-
-    def _extract(self, name: str, x, P, update_running: bool):
+    def _extract(self, name: str, x, P, train: bool):
         plan = self.topology["extractors"][name]
         if value_of(x).shape[-2] != plan["in_channels"]:
             raise ModelError(
@@ -219,33 +214,34 @@ class ModelGraph:
                            stride=blk["stride"], padding=blk["padding"], name=f"{name}.conv{i}")
             st = self.state[f"{name}.bn{i}"]
             gamma, beta = P[f"{name}.bn{i}.gamma"], P[f"{name}.bn{i}.beta"]
-            if self.mode == "train":
-                h = ops.batchnorm_train(h, gamma, beta, st, update_running=update_running)
+            if train:
+                h = ops.batchnorm_train(h, gamma, beta, st)
             else:
                 h = ops.batchnorm_eval(h, gamma, beta, st)
             h = ad.relu(h)
         return ops.global_avgpool(h)
 
-    def features(self, inputs, params=None, update_running: bool = True):
-        """Per-modality feature vectors at the pooling boundary."""
-        P = params if params is not None else self.params
+    def features(self, inputs, params=None):
+        """Per-modality feature vectors at the pooling boundary; ``params`` as in ``forward``."""
+        train = params is not None
+        P = params if train else self.params
         if self.topology["type"] == "single":
             m = self.topology["modality"]
-            return self._extract(m, inputs, P, update_running)
+            return self._extract(m, inputs, P, train)
         x1, x2, x3 = inputs
         return tuple(
-            self._extract(m, x, P, update_running)
+            self._extract(m, x, P, train)
             for m, x in zip(MODALITIES, (x1, x2, x3))
         )
 
-    def forward(self, inputs, params=None, update_running: bool = True):
-        """Logits [batch, 2]; pass Variables via ``params`` when training."""
+    def forward(self, inputs, params=None):
+        """Logits [batch, 2]: evaluation, or the training forward over ``params``."""
         P = params if params is not None else self.params
         if self.topology["type"] == "single":
-            z = self.features(inputs, P, update_running)
+            z = self.features(inputs, params)
             h = ad.relu(ops.linear_forward(z, P["head1.w"], P["head1.b"]))
             return ops.linear_forward(h, P["head2.w"], P["head2.b"])
-        z1, z2, z3 = self.features(inputs, P, update_running)
+        z1, z2, z3 = self.features(inputs, params)
         fused_params = {k.split(".", 1)[1]: P[k] for k in P if k.startswith("fusion.")}
         y = fuse(self.fusion_spec, fused_params, z1, z2, z3)
         if self.topology["l2_normalize"]:
@@ -253,11 +249,7 @@ class ModelGraph:
         return ops.linear_forward(y, P["head.w"], P["head.b"])
 
     def predict(self, inputs) -> np.ndarray:
-        logits = self.forward(inputs)
-        return np.argmax(value_of(logits), axis=-1)
-
-    def probabilities(self, inputs) -> np.ndarray:
-        return ops.softmax(value_of(self.forward(inputs)))
+        return np.argmax(self.forward(inputs), axis=-1)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -430,6 +422,4 @@ def load_model(indir) -> ModelGraph:
             _load_checked(indir, f"state/{name}.var.ten", want),
             eps=meta["eps"], momentum=meta["momentum"],
         )
-    model = ModelGraph(doc["topology"], params, state)
-    model.mode = "eval"
-    return model
+    return ModelGraph(doc["topology"], params, state)

@@ -2,8 +2,9 @@
 global average pooling, softmax cross-entropy and L2 normalization.
 
 Ops accept plain ndarrays (pure evaluation) or autodiff Variables (recorded on
-the tape through ``autodiff.record``). Convolution and pooling work on
-``[channels, time]`` inputs or batched ``[batch, channels, time]``.
+the tape through ``autodiff.record``); ``batchnorm_eval``, which no training
+step calls, takes ndarrays only. Convolution, eval batch norm and pooling work
+on ``[channels, time]`` inputs or batched ``[batch, channels, time]``.
 """
 
 from __future__ import annotations
@@ -106,11 +107,9 @@ class BatchNormState:
         return cls(np.zeros(channels), np.ones(channels), eps, momentum)
 
 
-def batchnorm_train(x, gamma, beta, state: BatchNormState, update_running: bool = True):
-    """Standardize by batch statistics over (batch, time), then scale/shift.
-
-    Updates the running statistics in place unless ``update_running`` is off.
-    """
+def batchnorm_train(x, gamma, beta, state: BatchNormState):
+    """Standardize by batch statistics over (batch, time), then scale/shift;
+    moves the running statistics toward the batch's in place."""
     xv = value_of(x)
     if xv.ndim != 3:
         raise ValueError(f"batchnorm expects [batch, channels, time], got shape {xv.shape}")
@@ -128,12 +127,11 @@ def batchnorm_train(x, gamma, beta, state: BatchNormState, update_running: bool 
     np.multiply(xhat, gv[None, :, None], out=out)
     out += bv[None, :, None]
 
-    if update_running:
-        m = state.momentum
-        state.running_mean *= 1.0 - m
-        state.running_mean += m * mu
-        state.running_var *= 1.0 - m
-        state.running_var += m * var * (n / (n - 1.0))  # unbiased for running stats
+    m = state.momentum
+    state.running_mean *= 1.0 - m
+    state.running_mean += m * mu
+    state.running_var *= 1.0 - m
+    state.running_var += m * var * (n / (n - 1.0))  # unbiased for running stats
 
     def backward_fn(g):
         grad_beta = g.sum(axis=(0, 2))
@@ -153,32 +151,15 @@ def batchnorm_train(x, gamma, beta, state: BatchNormState, update_running: bool 
     return record("batchnorm", out, (x, gamma, beta), backward_fn)
 
 
-def batchnorm_eval(x, gamma, beta, state: BatchNormState):
-    """Standardize by running statistics; a pure function of its inputs."""
-    xv = value_of(x)
-    single = xv.ndim == 2
-    xb = xv[None] if single else xv
+def batchnorm_eval(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, state: BatchNormState) -> np.ndarray:
+    """Standardize ``[C, T]`` or ``[B, C, T]`` by the running statistics, then
+    scale/shift: the fixed affine map of a trained layer. Plain numpy, no tape."""
     ivar = 1.0 / np.sqrt(state.running_var + state.eps)
-    xhat = xb - state.running_mean[None, :, None]
-    xhat *= ivar[None, :, None]
-    gv, bv = value_of(gamma), value_of(beta)
-    out = np.multiply(xhat, gv[None, :, None])
-    out += bv[None, :, None]
-    if single:
-        out = out[0]
-
-    def backward_fn(g):
-        gb3 = g[None] if single else g
-        grad_beta = gb3.sum(axis=(0, 2)) if needs_grad(beta) else None
-        grad_gamma = (gb3 * xhat).sum(axis=(0, 2)) if needs_grad(gamma) else None
-        grad_x = None
-        if needs_grad(x):
-            grad_x = gb3 * (gv * ivar)[None, :, None]
-            if single:
-                grad_x = grad_x[0]
-        return grad_x, grad_gamma, grad_beta
-
-    return record("batchnorm_eval", out, (x, gamma, beta), backward_fn)
+    out = x - state.running_mean[:, None]
+    out *= ivar[:, None]
+    out *= gamma[:, None]
+    out += beta[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +181,6 @@ def global_avgpool(x):
 def linear_forward(x, w, bias):
     """Affine map x @ w + bias; x is [features] or [batch, features]."""
     return ad.add(ad.matmul(x, w), bias)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax probabilities (plain numpy, numerically stabilized)."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_crossentropy(logits, labels):

@@ -24,8 +24,11 @@ from .models import ModelGraph, build_from_spec
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int, value: float, what: str = "loss"):
-        self.epoch = epoch
+        self.epoch, self.value, self.what = epoch, value, what
         super().__init__(f"{what} became non-finite ({value}) at epoch {epoch}")
+
+    def __reduce__(self):  # unpickling calls cls(*args): rebuild from these, not the message
+        return type(self), (self.epoch, self.value, self.what)
 
 
 @dataclass
@@ -187,16 +190,16 @@ def _batch_plan(n: int, batch_size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
+# a diverging run overflows on its way to a non-finite value, which _train's finiteness
+# checks report in one message; numpy's warnings would only add lines to stderr
+@np.errstate(over="ignore", invalid="ignore")
 def predict_labels(model: ModelGraph, dataset: SegmentDataset, idx: np.ndarray,
                    eval_batch: int = 256) -> np.ndarray:
-    """Eval-mode predictions for the given segment indices."""
-    mode = model.mode
-    model.set_mode("eval")
+    """Eval predictions for the given segment indices."""
     preds = np.empty(len(idx), dtype=np.int64)
     for s in range(0, len(idx), eval_batch):
         chunk = idx[s:s + eval_batch]
         preds[s:s + len(chunk)] = model.predict(_model_inputs(model, dataset, chunk))
-    model.set_mode(mode)
     return preds
 
 
@@ -236,6 +239,7 @@ def train(model: ModelGraph, dataset: SegmentDataset, split, config: TrainConfig
     return _train(model, dataset, split, config, fingerprint, fold)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as predict_labels
 def _train(model: ModelGraph, dataset: SegmentDataset, split, config: TrainConfig,
            fingerprint: dict | None, fold: int | None) -> tuple[TrainReport, np.ndarray]:
     """``train``, also returning the per-segment correct mask of the test side."""
@@ -244,7 +248,6 @@ def _train(model: ModelGraph, dataset: SegmentDataset, split, config: TrainConfi
         raise ValueError("train and test splits share trials")
     rng = np.random.default_rng(config.seed)
     adam = AdamState.for_config(config)
-    model.set_mode("train")
     losses = []
     for epoch in range(config.epochs):
         order = rng.permutation(train_idx) if config.shuffle else train_idx
@@ -271,7 +274,6 @@ def _train(model: ModelGraph, dataset: SegmentDataset, split, config: TrainConfi
     for name, p in model.params.items():
         if not np.all(np.isfinite(p)):
             raise TrainingDiverged(config.epochs - 1, float(np.max(np.abs(p))), f"parameter {name!r}")
-    model.set_mode("eval")
 
     if len(test_idx):
         stats = evaluate(model, dataset, test_idx, config.eval_batch, config.trial_vote)

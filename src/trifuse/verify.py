@@ -163,11 +163,7 @@ def check_grad_primitives() -> tuple[bool, str]:
         {"x": rng.normal(size=(2, 7)), "w": rng.normal(size=(3, 2, 3)), "b": rng.normal(size=3)})
     st = ops.BatchNormState.fresh(2)
     run("batchnorm_train", lambda t, pv: ad.sum_all(ad.mul(
-        y := ops.batchnorm_train(pv["x"], pv["g"], pv["b"], st, update_running=False), y)),
-        {"x": rng.normal(size=(3, 2, 4)), "g": rng.normal(size=2) + 1.0, "b": rng.normal(size=2)})
-    st2 = ops.BatchNormState(np.array([0.2, -0.1]), np.array([1.3, 0.6]))
-    run("batchnorm_eval", lambda t, pv: ad.sum_all(ad.mul(
-        y := ops.batchnorm_eval(pv["x"], pv["g"], pv["b"], st2), y)),
+        y := ops.batchnorm_train(pv["x"], pv["g"], pv["b"], st), y)),
         {"x": rng.normal(size=(3, 2, 4)), "g": rng.normal(size=2) + 1.0, "b": rng.normal(size=2)})
     run("avgpool/l2/linear/softmax_ce", lambda t, pv: ops.softmax_crossentropy(
         ops.linear_forward(ops.l2_normalize(ops.global_avgpool(pv["x"])), pv["w"], pv["b"]),
@@ -180,10 +176,8 @@ def check_grad_primitives() -> tuple[bool, str]:
 
 
 def _model_grad_err(model: models.ModelGraph, inputs, labels) -> float:
-    model.set_mode("train")
-
     def build(tape, pvars):
-        logits = model.forward(inputs, pvars, update_running=False)
+        logits = model.forward(inputs, pvars)
         return ops.softmax_crossentropy(logits, labels)
 
     return ad.grad_check(build, model.params, eps=1e-5)
@@ -276,8 +270,9 @@ def check_shape_chains() -> tuple[bool, str]:
 
 def verify_checkpoint(indir) -> tuple[bool, str]:
     """Load a saved model, digest-check it and check that every parameter and
-    batch-norm running statistic is finite; for factorized fused models also
-    re-run the factorized-vs-reconstructed forward agreement on random probes.
+    batch-norm running statistic is finite and no running variance negative;
+    for factorized fused models also re-run the factorized-vs-reconstructed
+    forward agreement on random probes.
 
     A checkpoint that does not load (a missing file, or an array whose shape
     its topology does not allocate) raises instead of returning a result."""
@@ -292,6 +287,10 @@ def verify_checkpoint(indir) -> tuple[bool, str]:
     bad = [name for name, arr in arrays.items() if not np.all(np.isfinite(arr))]
     if bad:
         return False, f"non-finite values in {len(bad)} array(s), first {bad[0]}"
+    # training never writes a negative variance; one loads, but eval's sqrt(var + eps) may be NaN
+    bad = [name for name, st in model.state.items() if np.any(st.running_var < 0)]
+    if bad:
+        return False, f"negative running variance in {len(bad)} array(s), first {bad[0]}.running_var"
     if model.topology["type"] != "fused":
         return True, "digests ok (single-modal model, no fusion factors)"
     spec = model.fusion_spec

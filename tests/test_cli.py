@@ -2,11 +2,16 @@
 
 import json
 import os
+import pickle
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trifuse import cli, data, models
+from trifuse import cli, config, data, models, train
 from trifuse.cli import main
 from trifuse.tensor import load_tensor, save_tensor
 
@@ -51,8 +56,20 @@ FAIL_CLOSED_PROBES = {
 }
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def run_subprocess(argv, prelude=""):
+    """``trifuse`` in a fresh interpreter, after ``prelude``; stderr as numpy and
+    the process pool would leave it, which pytest's capture would filter."""
+    script = f"import sys\nfrom trifuse import cli\n{prelude}\nsys.exit(cli.main(sys.argv[1:]))\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True, timeout=300)
 
 
 @pytest.fixture()
@@ -243,6 +260,42 @@ class TestCvCommand:
         assert (tmp_path / "envout" / "cv_report.json").exists()
 
 
+class TestCvFailsClosed:
+    # every error class cli.main maps to an exit code, as a fold worker may raise it
+    @pytest.mark.parametrize("exc", [
+        config.ConfigError("bad key"), data.DataError("bad data"), data.ManifestError(["a bad", "b bad"]),
+        models.ModelError("bad model"), train.TrainingDiverged(3, float("nan")),
+        train.TrainingDiverged(0, float("inf"), "parameter 'head.w'"), FloatingPointError("bad step"),
+        FileNotFoundError(2, "No such file or directory", "x.ten"), BrokenProcessPool("worker died"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_mapped_errors_survive_pickle(self, exc):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_diverging_run_is_one_line_runtime_error(self, tmp_path, jobs):
+        out = tmp_path / "cv"
+        proc = run_subprocess(["cv", "--synth", "additive", "--trials", "20", "--model", "tf",
+                               "--profile", "desk", "--epochs", "1", "--batch-size", "4", "--lr", "1e300",
+                               "--jobs", jobs, "--out", str(out)])
+        assert proc.returncode == 3, proc.stderr[-2000:]
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "non-finite" in proc.stderr
+        assert not out.exists()
+
+    def test_dead_fold_worker_is_one_line_runtime_error(self, tmp_path):
+        out = tmp_path / "cv"
+        kill = ("import os, signal\nfrom trifuse import train\n"
+                "def die(args):\n    os.kill(os.getpid(), signal.SIGKILL)\n"
+                "train._run_fold = die\n")
+        proc = run_subprocess(["cv", "--synth", "additive", "--trials", "12", "--model", "oxy",
+                               "--profile", "desk", "--epochs", "1", "--k", "3", "--jobs", "2",
+                               "--out", str(out)], prelude=kill)
+        assert proc.returncode == 3, proc.stderr[-2000:]
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert not out.exists()
+
+
 class TestVerifyCommand:
     def test_filter_selects_subset(self, capsys):
         assert run("verify", "--filter", "param-counts") == 0
@@ -264,6 +317,16 @@ class TestVerifyCommand:
         assert run("verify", "--filter", "checkpoint", "--checkpoint", str(tmp_path / "ckpt")) == 1
         assert victim in capsys.readouterr().out
 
+    def test_negative_running_variance_fails(self, tmp_path, capsys):
+        # state files carry no digest: only the health check can catch this one
+        model = models.build_from_spec({"type": "single", "modality": "oxy", "profile": "desk"})
+        models.save_model(model, tmp_path / "ckpt")
+        victim = tmp_path / "ckpt" / "state" / "oxy.bn3.var.ten"
+        var = load_tensor(victim)
+        var[1] = -0.5
+        save_tensor(victim, var)
+        assert run("verify", "--filter", "checkpoint", "--checkpoint", str(tmp_path / "ckpt")) == 1
+        assert "negative running variance in 1 array(s), first oxy.bn3.running_var" in capsys.readouterr().out
 
     def test_wrong_shaped_factor_is_data_error(self, tmp_path, capsys):
         # a size-1 factor axis would load and broadcast to finite logits

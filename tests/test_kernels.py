@@ -80,10 +80,9 @@ class TestSymmetricPF:
         model = models.build_from_spec(
             {"type": "fused", "profile": "full",
              "fusion": {"kind": "PF", "order": 3, "rank": 16, "symmetric": True, "output_dim": 128}})
-        model.set_mode("train")
         tape = ad.Tape()
         pv = {k: tape.variable(v) for k, v in model.params.items()}
-        logits = model.forward((ds.eeg, ds.oxy, ds.deoxy), pv, update_running=False)
+        logits = model.forward((ds.eeg, ds.oxy, ds.deoxy), pv)
         ops.softmax_crossentropy(logits, ds.labels)
         # 3 extractors x 6 blocks x (conv, bn, relu) + 3 pools, concat, one shared
         # projection, 2 muls, mix, l2, linear (contract, add), softmax-CE
@@ -470,25 +469,20 @@ class TestBatchNorm:
     def test_train_gradients(self, bn_case):
         x, gamma, beta, upstream, state = bn_case
         out, gx, gg, gb = _bn_grads(
-            lambda a, b, c: ops.batchnorm_train(a, b, c, state, update_running=False),
+            lambda a, b, c: ops.batchnorm_train(a, b, c, state),
             x, gamma, beta, upstream)
         ref, ref_backward = bn_train_reference(x, gamma, beta, copy.deepcopy(state))
         assert np.array_equal(out, ref)
         for got, want in zip((gx, gg, gb), ref_backward(upstream)):
             assert rel_err(got, want) <= RTOL
 
-    def test_eval_forward_and_gradients(self, bn_case):
-        x, gamma, beta, upstream, state = bn_case
+    def test_eval_forward(self, bn_case):
+        x, gamma, beta, _, state = bn_case
         ivar = 1.0 / np.sqrt(state.running_var + state.eps)
         xhat = (x - state.running_mean[None, :, None]) * ivar[None, :, None]
         ref = gamma[None, :, None] * xhat + beta[None, :, None]
         assert np.array_equal(ops.batchnorm_eval(x, gamma, beta, state), ref)
-        out, gx, gg, gb = _bn_grads(
-            lambda a, b, c: ops.batchnorm_eval(a, b, c, state), x, gamma, beta, upstream)
-        assert np.array_equal(out, ref)
-        assert np.array_equal(gx, upstream * (gamma * ivar)[None, :, None])
-        assert np.array_equal(gg, (upstream * xhat).sum(axis=(0, 2)))
-        assert np.array_equal(gb, upstream.sum(axis=(0, 2)))
+        assert np.array_equal(ops.batchnorm_eval(x[1], gamma, beta, state), ref[1])
 
 
 # ---------------------------------------------------------------------------

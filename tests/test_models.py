@@ -59,7 +59,6 @@ class TestExtractorGeometry:
 
     def test_feature_length_invariant_to_input_time(self):
         model = models.build_from_spec({"type": "single", "modality": "eeg", "profile": "desk"}, seed=0)
-        model.set_mode("eval")
         rng = np.random.default_rng(0)
         for t in (600, 700, 1000):
             z = model.features(rng.normal(size=(2, 30, t)))
@@ -74,14 +73,6 @@ class TestSingleModal:
         nirs = models.build_from_spec({"type": "single", "modality": "oxy"}, seed=0)
         assert nirs.params["head1.w"].shape == (144, 72)
         assert nirs.params["head2.w"].shape == (72, 2)
-
-    def test_probabilities_sum_to_one(self):
-        rng = np.random.default_rng(1)
-        model = models.build_from_spec({"type": "single", "modality": "deoxy", "profile": "desk"}, seed=1)
-        model.set_mode("eval")
-        probs = model.probabilities(rng.normal(size=(3, 36, 30)))
-        assert probs.shape == (3, 2)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_wrong_channel_count_rejected(self):
         model = models.build_from_spec({"type": "single", "modality": "eeg", "profile": "desk"}, seed=0)
@@ -104,7 +95,6 @@ class TestFused:
     def test_zero_input_is_finite(self):
         spec = {"kind": "PF", "output_dim": 8, "rank": 4, "order": 3, "symmetric": True}
         model = models.build_from_spec({"type": "fused", "profile": "desk", "fusion": spec}, seed=2)
-        model.set_mode("eval")
         logits = model.forward((np.zeros((2, 30, 600)), np.zeros((2, 36, 30)), np.zeros((2, 36, 30))))
         assert np.isfinite(logits).all()
 
@@ -112,7 +102,6 @@ class TestFused:
         rng = np.random.default_rng(3)
         spec = {"kind": "TF", "output_dim": 8, "rank": 4}
         model = models.build_from_spec({"type": "fused", "profile": "desk", "fusion": spec}, seed=3)
-        model.set_mode("eval")
         x = (rng.normal(size=(2, 30, 600)), rng.normal(size=(2, 36, 30)), rng.normal(size=(2, 36, 30)))
         a = model.forward(x)
         b = model.forward(x)
@@ -129,6 +118,42 @@ class TestFused:
         assert lf2.topology["l2_normalize"] is True
 
 
+class TestForward:
+    # forward(inputs) evaluates; forward(inputs, params) is the training forward
+    SPEC = {"type": "fused", "profile": "desk", "fusion": {"kind": "TF", "output_dim": 8, "rank": 4}}
+
+    def batch(self, n, seed=0):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(n, 30, 600)), rng.normal(size=(n, 36, 30)), rng.normal(size=(n, 36, 30)))
+
+    def test_fresh_model_predicts_one_sample(self):
+        model = models.build_from_spec(self.SPEC, seed=1)
+        assert model.predict(self.batch(1)).shape == (1,)
+
+    def test_eval_leaves_state_untouched(self):
+        model = models.build_from_spec(self.SPEC, seed=1)
+        before = {k: (st.running_mean.tobytes(), st.running_var.tobytes()) for k, st in model.state.items()}
+        model.forward(self.batch(3))
+        assert {k: (st.running_mean.tobytes(), st.running_var.tobytes())
+                for k, st in model.state.items()} == before
+
+    def test_sample_logits_independent_of_batch(self):
+        model = models.build_from_spec(self.SPEC, seed=1)
+        x = self.batch(3)
+        together = model.forward(x)
+        for i in range(3):
+            alone = model.forward(tuple(a[i:i + 1] for a in x))
+            assert np.max(np.abs(alone[0] - together[i])) <= 1e-12 * np.max(np.abs(together[i]))
+
+    def test_training_forward_moves_running_mean(self):
+        from trifuse import autodiff as ad
+
+        model = models.build_from_spec(self.SPEC, seed=1)
+        tape = ad.Tape()
+        model.forward(self.batch(3), {k: tape.variable(v) for k, v in model.params.items()})
+        assert all(np.any(st.running_mean != 0) for st in model.state.values())
+
+
 class TestTinyClones:
     # the full sweep over every model kind runs in the acceptance suite;
     # here one symmetric polynomial clone guards the model-level wiring
@@ -142,7 +167,7 @@ class TestTinyClones:
         labels = np.array([0, 1])
 
         def build(tape, pvars):
-            logits = model.forward(inputs, pvars, update_running=False)
+            logits = model.forward(inputs, pvars)
             return ops.softmax_crossentropy(logits, labels)
 
         assert ad.grad_check(build, model.params, eps=1e-5) < 1e-4
@@ -308,7 +333,6 @@ class TestCheckpoint:
         rng = np.random.default_rng(5)
         spec = {"kind": "PF", "output_dim": 8, "rank": 4, "order": 2, "symmetric": True}
         model = models.build_from_spec({"type": "fused", "profile": "desk", "fusion": spec}, seed=5)
-        model.set_mode("eval")
         x = (rng.normal(size=(2, 30, 600)), rng.normal(size=(2, 36, 30)), rng.normal(size=(2, 36, 30)))
         before = model.forward(x)
         models.save_model(model, tmp_path / "ckpt")
