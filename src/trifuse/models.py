@@ -208,17 +208,12 @@ class ModelGraph:
             raise ModelError(
                 f"{name} input has {value_of(x).shape[-2]} channels, expected {plan['in_channels']}"
             )
+        block = ops.conv_bn_relu if train else ops.conv_bn_relu_eval
         h = x
         for i, blk in enumerate(plan["blocks"]):
-            h = ops.conv1d(h, P[f"{name}.conv{i}.w"], P[f"{name}.conv{i}.b"],
-                           stride=blk["stride"], padding=blk["padding"], name=f"{name}.conv{i}")
-            st = self.state[f"{name}.bn{i}"]
-            gamma, beta = P[f"{name}.bn{i}.gamma"], P[f"{name}.bn{i}.beta"]
-            if train:
-                h = ops.batchnorm_train(h, gamma, beta, st)
-            else:
-                h = ops.batchnorm_eval(h, gamma, beta, st)
-            h = ad.relu(h)
+            h = block(h, P[f"{name}.conv{i}.w"], P[f"{name}.conv{i}.b"], P[f"{name}.bn{i}.gamma"],
+                      P[f"{name}.bn{i}.beta"], self.state[f"{name}.bn{i}"],
+                      stride=blk["stride"], padding=blk["padding"], name=f"{name}.block{i}")
         return ops.global_avgpool(h)
 
     def features(self, inputs, params=None):
@@ -249,7 +244,12 @@ class ModelGraph:
         return ops.linear_forward(y, P["head.w"], P["head.b"])
 
     def predict(self, inputs) -> np.ndarray:
-        return np.argmax(self.forward(inputs), axis=-1)
+        """Class labels; ``FloatingPointError`` if any logit is not finite, since
+        argmax would read a NaN row as class 0."""
+        logits = self.forward(inputs)
+        if not np.isfinite(logits).all():
+            raise FloatingPointError("model evaluates to non-finite logits")
+        return np.argmax(logits, axis=-1)
 
     # -- bookkeeping ---------------------------------------------------------
 

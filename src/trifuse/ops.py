@@ -1,10 +1,12 @@
-"""Differentiable network ops: 1-D convolution, batch norm, ReLU, linear maps,
-global average pooling, softmax cross-entropy and L2 normalization.
+"""Differentiable network ops: 1-D convolution, batch norm, ReLU, the fused
+conv + batch norm + ReLU extractor block, linear maps, global average pooling,
+softmax cross-entropy and L2 normalization.
 
 Ops accept plain ndarrays (pure evaluation) or autodiff Variables (recorded on
-the tape through ``autodiff.record``); ``batchnorm_eval``, which no training
-step calls, takes ndarrays only. Convolution, eval batch norm and pooling work
-on ``[channels, time]`` inputs or batched ``[batch, channels, time]``.
+the tape through ``autodiff.record``); ``batchnorm_eval`` and
+``conv_bn_relu_eval``, which no training step calls, take ndarrays only.
+Convolution, the eval ops and pooling work on ``[channels, time]`` inputs or
+batched ``[batch, channels, time]``.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ def _windows(x: np.ndarray, filt: int, stride: int, padding: int) -> np.ndarray:
     return np.ascontiguousarray(windows).reshape(c * filt, b * t_out)
 
 
-def conv1d(x, w, bias, stride: int = 1, padding: int = 0, name: str = "conv1d"):
-    """Cross-correlation along time. ``w`` is [out_ch, in_ch, filter]."""
-    xv, wv, bv = value_of(x), value_of(w), value_of(bias)
+def _conv_matmul(xv: np.ndarray, wv: np.ndarray, stride: int, padding: int, name: str):
+    """A conv's window matrix and GEMM product: ``(y [O, B*T_out], cols, batch,
+    t_out, single)``, with ``single`` set for a ``[C, T]`` input."""
     single = xv.ndim == 2
     xb = xv[None] if single else xv
     out_ch, in_ch, filt = wv.shape
@@ -60,12 +62,44 @@ def conv1d(x, w, bias, stride: int = 1, padding: int = 0, name: str = "conv1d"):
             f"{name}: infeasible geometry, input length {t_in} with filter {filt}, "
             f"stride {stride}, padding {padding} gives output length {t_out}"
         )
-    batch = xb.shape[0]
     cols = _windows(xb, filt, stride, padding)  # [C*K, B*T_out]
-    w2 = wv.reshape(out_ch, in_ch * filt)
-    y = (w2 @ cols).reshape(out_ch, batch, t_out)
+    return wv.reshape(out_ch, in_ch * filt) @ cols, cols, xb.shape[0], t_out, single
+
+
+def _conv_grads(x, w, cols: np.ndarray, g2: np.ndarray, stride: int, padding: int):
+    """``(grad_x, grad_w)`` of a conv from ``g2``, the output gradient as
+    ``[O, B*T_out]``; grad_x scatters the window gradients back (col2im)."""
+    xv, wv = value_of(x), value_of(w)
+    grad_w = (g2 @ cols.T).reshape(wv.shape) if needs_grad(w) else None
+    grad_x = None
+    if needs_grad(x):
+        out_ch, in_ch, filt = wv.shape
+        t_in = xv.shape[-1]
+        t_out = conv_out_length(t_in, filt, stride, padding)
+        batch = g2.shape[1] // t_out
+        gwin = (wv.reshape(out_ch, in_ch * filt).T @ g2).reshape(in_ch, filt, batch, t_out)
+        gxp = np.zeros((batch, in_ch, t_in + 2 * padding))
+        for k in range(filt):
+            gxp[:, :, k:k + stride * t_out:stride] += gwin[:, k].transpose(1, 0, 2)
+        grad_x = gxp[:, :, padding:padding + t_in]
+        if xv.ndim == 2:
+            grad_x = grad_x[0]
+    return grad_x, grad_w
+
+
+def _batch_major(y: np.ndarray, batch: int, single: bool) -> np.ndarray:
+    """``[O, B*T]`` as a ``[B, O, T]`` view (``[O, T]`` for a single sample)."""
+    out = y.reshape(y.shape[0], batch, -1).transpose(1, 0, 2)
+    return out[0] if single else out
+
+
+def conv1d(x, w, bias, stride: int = 1, padding: int = 0, name: str = "conv1d"):
+    """Cross-correlation along time. ``w`` is [out_ch, in_ch, filter]."""
+    xv, wv, bv = value_of(x), value_of(w), value_of(bias)
+    y, cols, batch, t_out, single = _conv_matmul(xv, wv, stride, padding, name)
+    out_ch = wv.shape[0]
     # out= keeps the result C-ordered; without it numpy keeps y's [O, B, T] order
-    out = np.add(y.transpose(1, 0, 2), bv[None, :, None], out=np.empty((batch, out_ch, t_out)))
+    out = np.add(_batch_major(y, batch, False), bv[None, :, None], out=np.empty((batch, out_ch, t_out)))
     if single:
         out = out[0]
 
@@ -75,17 +109,7 @@ def conv1d(x, w, bias, stride: int = 1, padding: int = 0, name: str = "conv1d"):
         g2 = None
         if needs_grad(w) or needs_grad(x):
             g2 = np.ascontiguousarray(gb3.transpose(1, 0, 2)).reshape(out_ch, batch * t_out)
-        grad_w = (g2 @ cols.T).reshape(wv.shape) if needs_grad(w) else None
-        grad_x = None
-        if needs_grad(x):
-            gwin = (w2.T @ g2).reshape(in_ch, filt, batch, t_out)
-            gxp = np.zeros((batch, in_ch, t_in + 2 * padding))
-            for k in range(filt):
-                gxp[:, :, k:k + stride * t_out:stride] += gwin[:, k].transpose(1, 0, 2)
-            grad_x = gxp[:, :, padding:padding + t_in]
-            if single:
-                grad_x = grad_x[0]
-        return grad_x, grad_w, grad_bias
+        return (*_conv_grads(x, w, cols, g2, stride, padding), grad_bias)
 
     return record(name, out, (x, w, bias), backward_fn)
 
@@ -160,6 +184,76 @@ def batchnorm_eval(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, state: Ba
     out *= gamma[:, None]
     out += beta[:, None]
     return out
+
+
+# ---------------------------------------------------------------------------
+# one extractor block: conv, batch norm, ReLU
+
+def conv_bn_relu(x, w, bias, gamma, beta, state: BatchNormState, stride: int = 1, padding: int = 0,
+                 name: str = "conv_bn_relu"):
+    """``relu(batchnorm_train(conv1d(x, w, bias)))`` as one tape node, over the
+    conv's ``[O, B*T_out]`` product; returns a ``[B, O, T_out]`` view of it.
+
+    Batch norm subtracts the batch mean, so the conv bias cancels from the
+    output: it is never added and gets no gradient, and only enters the
+    running mean, as ``mean + bias``.
+    """
+    xv, wv, gv, bv = value_of(x), value_of(w), value_of(gamma), value_of(beta)
+    if xv.ndim != 3:
+        raise ValueError(f"{name} expects [batch, channels, time], got shape {xv.shape}")
+    if xv.shape[0] < 2:
+        raise ValueError("batchnorm train mode needs batch size >= 2")
+    xhat, cols, batch, t_out, _ = _conv_matmul(xv, wv, stride, padding, name)
+    n = batch * t_out
+    mu = xhat.sum(axis=1) / n
+    xhat -= mu[:, None]
+    var = np.einsum("ij,ij->i", xhat, xhat) / n
+    ivar = 1.0 / np.sqrt(var + state.eps)
+    xhat *= ivar[:, None]
+    out = np.multiply(xhat, gv[:, None])
+    out += bv[:, None]
+    np.maximum(out, 0.0, out=out)
+
+    m = state.momentum
+    state.running_mean *= 1.0 - m
+    state.running_mean += m * (mu + value_of(bias))
+    state.running_var *= 1.0 - m
+    state.running_var += m * var * (n / (n - 1.0))  # unbiased for running stats
+
+    def backward_fn(g):
+        # the ReLU mask and the one transpose to [O, B*T]
+        g2 = np.multiply(g.transpose(1, 0, 2), (out > 0).reshape(-1, batch, t_out),
+                         out=np.empty((out.shape[0], batch, t_out))).reshape(out.shape)
+        grad_beta = g2.sum(axis=1)
+        grad_gamma = np.einsum("ij,ij->i", g2, xhat)
+        # (ivar/n) * (n*gamma*g - s1 - xhat*s2), s1 = gamma*grad_beta, s2 = gamma*grad_gamma;
+        # nothing reads xhat after a node's one backward, so it is the scratch
+        coef = gv * ivar / n
+        gx = np.multiply(xhat, (coef * grad_gamma)[:, None], out=xhat)
+        gx += (coef * grad_beta)[:, None]
+        g2 *= (n * coef)[:, None]
+        g2 -= gx
+        return (*_conv_grads(x, w, cols, g2, stride, padding), None,
+                grad_gamma if needs_grad(gamma) else None, grad_beta if needs_grad(beta) else None)
+
+    return record(name, _batch_major(out, batch, False), (x, w, bias, gamma, beta), backward_fn)
+
+
+def conv_bn_relu_eval(x: np.ndarray, w: np.ndarray, bias: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                      state: BatchNormState, stride: int = 1, padding: int = 0,
+                      name: str = "conv_bn_relu") -> np.ndarray:
+    """``relu(batchnorm_eval(conv1d(x, w, bias)))`` on ``[C, T]`` or ``[B, C, T]``:
+    batch norm by the running statistics is a per-channel affine map, folded
+    here, on every call, into one scale and shift of the conv's ``[O, B*T_out]``
+    product. Returns a view of that product, as ``conv_bn_relu`` does. Plain
+    numpy, no tape."""
+    y, _, batch, _, single = _conv_matmul(value_of(x), value_of(w), stride, padding, name)
+    scale = gamma / np.sqrt(state.running_var + state.eps)
+    shift = beta + (bias - state.running_mean) * scale
+    y *= scale[:, None]
+    y += shift[:, None]
+    np.maximum(y, 0.0, out=y)
+    return _batch_major(y, batch, single)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Dense float64 tensor primitives: pairwise contraction and a little-endian
 binary file format.
 
-Every array handled by this package is a C-contiguous ``numpy.ndarray`` of
-float64 (row-major, last index fastest). A scalar is an array of shape ``()``.
+Every array handled by this package is a ``numpy.ndarray`` of float64. Input
+is copied row-major (last index fastest); a float64 array, such as the strided
+``[B, C, T]`` view an extractor block returns, is used as it is. A scalar is an
+array of shape ``()``.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ class ShapeError(ValueError):
 
 
 def as_tensor(data) -> np.ndarray:
-    """Coerce input to a C-contiguous float64 array (0-d stays 0-d)."""
-    return np.asarray(data, dtype=np.float64, order="C")
+    """Coerce input to a float64 array (0-d stays 0-d); a float64 array is
+    returned as it is, views included."""
+    return np.asarray(data, dtype=np.float64)
 
 
 def _check_axes(name: str, axes: Sequence[int], ndim: int) -> list[int]:

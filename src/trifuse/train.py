@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import ops
-from .data import SegmentDataset, fold_indices, make_folds
+from .data import SegmentDataset, _all_finite, fold_indices, make_folds
 from .models import ModelGraph, build_from_spec
 
 
@@ -48,6 +48,11 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # Adam
 
+# Adam runs its ufuncs over each array this many entries at a time, so that a
+# chunk and the two scratch rows stay in cache between one ufunc and the next
+ADAM_CHUNK = 1 << 14
+
+
 @dataclass
 class AdamState:
     lr: float = 0.001
@@ -57,8 +62,9 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    # two work rows as long as the largest parameter, reused by every update
-    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)), init=False, repr=False, compare=False)
+    # two work rows of ADAM_CHUNK entries, reused by every update
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_CHUNK)), init=False, repr=False,
+                                compare=False)
 
     @classmethod
     def for_config(cls, config: TrainConfig) -> "AdamState":
@@ -66,36 +72,40 @@ class AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState) -> AdamState:
-    """One bias-corrected Adam update, in place on the parameter arrays."""
+    """One bias-corrected Adam update, in place on the parameter arrays, which
+    must be C-contiguous: each is updated through a flat view of itself."""
     state.step += 1
     t = state.step
-    need = max((p.size for p in params.values()), default=0)
-    if state.scratch.shape[1] < need:
-        state.scratch = np.empty((2, need))
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p)
-        if not np.all(np.isfinite(g)):
+        if not _all_finite(g):
             raise FloatingPointError(f"non-finite gradient for parameter {name!r} at step {t}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-        m, v = state.m[name], state.v[name]
-        a = state.scratch[0, :p.size].reshape(p.shape)
-        b = state.scratch[1, :p.size].reshape(p.shape)
-        # p -= lr * m_hat / (sqrt(v_hat) + eps), one ufunc at a time through the scratch rows
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=a)
-        v *= state.beta2
-        np.multiply(g, 1.0 - state.beta2, out=a)
-        v += np.multiply(a, g, out=a)
-        np.divide(m, 1.0 - state.beta1**t, out=a)
-        a *= state.lr
-        np.divide(v, 1.0 - state.beta2**t, out=b)
-        np.sqrt(b, out=b)
-        b += state.eps
-        p -= np.divide(a, b, out=a)
+        arrays = (p, state.m[name], state.v[name])
+        if not all(arr.flags.c_contiguous for arr in arrays):
+            raise ValueError(f"parameter {name!r} is not C-contiguous; its update would land in a copy")
+        # reshape of a C-contiguous array is a view
+        flat_p, flat_m, flat_v = (arr.reshape(-1) for arr in arrays)
+        flat_g = g.reshape(-1)
+        for s in range(0, p.size, ADAM_CHUNK):
+            p1, g1, m, v = (arr[s:s + ADAM_CHUNK] for arr in (flat_p, flat_g, flat_m, flat_v))
+            a, b = state.scratch[0, :p1.size], state.scratch[1, :p1.size]
+            # p -= lr * m_hat / (sqrt(v_hat) + eps), one ufunc at a time through the scratch rows
+            m *= state.beta1
+            m += np.multiply(g1, 1.0 - state.beta1, out=a)
+            v *= state.beta2
+            np.multiply(g1, 1.0 - state.beta2, out=a)
+            v += np.multiply(a, g1, out=a)
+            np.divide(m, 1.0 - state.beta1**t, out=a)
+            a *= state.lr
+            np.divide(v, 1.0 - state.beta2**t, out=b)
+            np.sqrt(b, out=b)
+            b += state.eps
+            p1 -= np.divide(a, b, out=a)
     return state
 
 

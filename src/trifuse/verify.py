@@ -161,6 +161,18 @@ def check_grad_primitives() -> tuple[bool, str]:
     run("conv1d [C, T]", lambda t, pv: ad.sum_all(ad.mul(
         y := ops.conv1d(pv["x"], pv["w"], pv["b"]), y)),
         {"x": rng.normal(size=(2, 7)), "w": rng.normal(size=(3, 2, 3)), "b": rng.normal(size=3)})
+    # the fused extractor block at the (9, 4) EEG opener and a (3, 1) block, with the
+    # input a constant (as in a model's first block) and a Variable; batch norm
+    # cancels the conv bias, so both sides give it a zero gradient
+    for geometry, (filt, stride, length) in {"9/4": (9, 4, 21), "3/1": (3, 1, 7)}.items():
+        x, r = rng.normal(size=(3, 2, length)), rng.normal(size=(3, 3, (length - filt) // stride + 1))
+        block = {"w": rng.normal(size=(3, 2, filt)), "b": rng.normal(size=3),
+                 "g": rng.normal(size=3) + 1.0, "be": rng.normal(size=3)}
+        st = ops.BatchNormState.fresh(3)
+        run(f"conv_bn_relu {geometry}", lambda t, pv: ad.sum_all(ad.mul(ops.conv_bn_relu(
+            pv["x"], pv["w"], pv["b"], pv["g"], pv["be"], st, stride=stride), r)), {"x": x, **block})
+        run(f"conv_bn_relu {geometry} const x", lambda t, pv: ad.sum_all(ad.mul(ops.conv_bn_relu(
+            x, pv["w"], pv["b"], pv["g"], pv["be"], st, stride=stride), r)), block)
     st = ops.BatchNormState.fresh(2)
     run("batchnorm_train", lambda t, pv: ad.sum_all(ad.mul(
         y := ops.batchnorm_train(pv["x"], pv["g"], pv["b"], st), y)),

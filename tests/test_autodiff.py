@@ -109,6 +109,9 @@ OPS = {
     "conv1d": ("conv1d", ops.conv1d, [(2, 3, 8), (4, 3, 3), (4,)]),
     "batchnorm_train": ("batchnorm", lambda x, g, b: ops.batchnorm_train(x, g, b, ops.BatchNormState.fresh(3)),
                         [(4, 3, 5), (3,), (3,)]),
+    "conv_bn_relu": ("conv_bn_relu",
+                     lambda x, w, b, g, be: ops.conv_bn_relu(x, w, b, g, be, ops.BatchNormState.fresh(4)),
+                     [(2, 3, 8), (4, 3, 3), (4,), (4,), (4,)]),
     "global_avgpool": ("global_avgpool", ops.global_avgpool, [(2, 3, 5)]),
     "softmax_crossentropy": ("softmax_ce", lambda z: ops.softmax_crossentropy(z, np.array([0, 1, 1])), [(3, 2)]),
     "l2_normalize": ("l2_normalize", ops.l2_normalize, [(3, 4)]),

@@ -283,6 +283,19 @@ class TestCvFailsClosed:
         assert "non-finite" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_huge_finite_parameters_fail_at_eval(self, tmp_path, jobs):
+        # at the default batch size one Adam step per fold leaves every parameter near
+        # 1e300 but finite; the logits are not, and argmax would read them as class 0
+        out = tmp_path / "cv"
+        proc = run_subprocess(["cv", "--synth", "additive", "--trials", "20", "--model", "tf",
+                               "--profile", "desk", "--epochs", "1", "--lr", "1e300",
+                               "--jobs", jobs, "--out", str(out)])
+        assert proc.returncode == 3, proc.stderr[-2000:]
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "non-finite logits" in proc.stderr
+        assert not out.exists()
+
     def test_dead_fold_worker_is_one_line_runtime_error(self, tmp_path):
         out = tmp_path / "cv"
         kill = ("import os, signal\nfrom trifuse import train\n"

@@ -2,8 +2,9 @@
 
 Symmetric PF shares one projection across polynomial positions, batch norm
 reuses its centred input and takes a closed-form backward, Adam updates
-through reused scratch rows, conv1d multiplies a time-innermost window
-matrix, one ``fusion.fuse`` replaced the per-kind fusion forwards,
+chunk by chunk through reused scratch rows, conv1d multiplies a
+time-innermost window matrix, each extractor block is one conv + batch norm
++ ReLU op, one ``fusion.fuse`` replaced the per-kind fusion forwards,
 ``load_tensor`` reads a payload once instead of as bytes plus a copy, and
 ``models.build_from_spec`` draws every model by walking ``param_shapes``. Each is
 held here to the straightforward formula it replaced: bit-identical where the
@@ -22,9 +23,9 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import as_strided
 
 from trifuse import autodiff as ad
-from trifuse import data, fusion, models, ops
+from trifuse import data, fusion, models, ops, train
 from trifuse import tensor as tc
-from trifuse.autodiff import value_of
+from trifuse.autodiff import needs_grad, value_of
 from trifuse.fusion import MATERIALIZE_LIMIT, FusionSpec, FusionSpecError, MaterializeError
 from trifuse.train import AdamState, adam_step
 
@@ -84,9 +85,9 @@ class TestSymmetricPF:
         pv = {k: tape.variable(v) for k, v in model.params.items()}
         logits = model.forward((ds.eeg, ds.oxy, ds.deoxy), pv)
         ops.softmax_crossentropy(logits, ds.labels)
-        # 3 extractors x 6 blocks x (conv, bn, relu) + 3 pools, concat, one shared
+        # 3 extractors x 6 fused conv_bn_relu blocks + 3 pools, concat, one shared
         # projection, 2 muls, mix, l2, linear (contract, add), softmax-CE
-        assert len(tape.nodes) == 66
+        assert len(tape.nodes) == 30
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +487,221 @@ class TestBatchNorm:
 
 
 # ---------------------------------------------------------------------------
+# one extractor block, against the conv -> batch norm -> ReLU path it replaced
+# (copied verbatim, renamed old_*, with module prefixes on the names they share)
+
+def old_conv1d(x, w, bias, stride: int = 1, padding: int = 0, name: str = "conv1d"):
+    """Cross-correlation along time. ``w`` is [out_ch, in_ch, filter]."""
+    xv, wv, bv = value_of(x), value_of(w), value_of(bias)
+    single = xv.ndim == 2
+    xb = xv[None] if single else xv
+    out_ch, in_ch, filt = wv.shape
+    if xb.ndim != 3 or xb.shape[1] != in_ch:
+        raise ValueError(f"{name}: input shape {xv.shape} does not match {in_ch} input channels")
+    t_in = xb.shape[2]
+    t_out = ops.conv_out_length(t_in, filt, stride, padding)
+    if t_out < 1:
+        raise ops.GeometryError(
+            f"{name}: infeasible geometry, input length {t_in} with filter {filt}, "
+            f"stride {stride}, padding {padding} gives output length {t_out}"
+        )
+    batch = xb.shape[0]
+    cols = ops._windows(xb, filt, stride, padding)  # [C*K, B*T_out]
+    w2 = wv.reshape(out_ch, in_ch * filt)
+    y = (w2 @ cols).reshape(out_ch, batch, t_out)
+    # out= keeps the result C-ordered; without it numpy keeps y's [O, B, T] order
+    out = np.add(y.transpose(1, 0, 2), bv[None, :, None], out=np.empty((batch, out_ch, t_out)))
+    if single:
+        out = out[0]
+
+    def backward_fn(g):
+        gb3 = g[None] if single else g
+        grad_bias = gb3.sum(axis=(0, 2)) if needs_grad(bias) else None
+        g2 = None
+        if needs_grad(w) or needs_grad(x):
+            g2 = np.ascontiguousarray(gb3.transpose(1, 0, 2)).reshape(out_ch, batch * t_out)
+        grad_w = (g2 @ cols.T).reshape(wv.shape) if needs_grad(w) else None
+        grad_x = None
+        if needs_grad(x):
+            gwin = (w2.T @ g2).reshape(in_ch, filt, batch, t_out)
+            gxp = np.zeros((batch, in_ch, t_in + 2 * padding))
+            for k in range(filt):
+                gxp[:, :, k:k + stride * t_out:stride] += gwin[:, k].transpose(1, 0, 2)
+            grad_x = gxp[:, :, padding:padding + t_in]
+            if single:
+                grad_x = grad_x[0]
+        return grad_x, grad_w, grad_bias
+
+    return ad.record(name, out, (x, w, bias), backward_fn)
+
+
+def old_batchnorm_train(x, gamma, beta, state: ops.BatchNormState):
+    """Standardize by batch statistics over (batch, time), then scale/shift;
+    moves the running statistics toward the batch's in place."""
+    xv = value_of(x)
+    if xv.ndim != 3:
+        raise ValueError(f"batchnorm expects [batch, channels, time], got shape {xv.shape}")
+    if xv.shape[0] < 2:
+        raise ValueError("batchnorm train mode needs batch size >= 2")
+    n = xv.shape[0] * xv.shape[2]
+    mu = xv.mean(axis=(0, 2))
+    # centred input serves the variance (the same sums np.var makes) and xhat
+    xhat = xv - mu[None, :, None]
+    out = np.multiply(xhat, xhat)
+    var = out.sum(axis=(0, 2)) / n
+    ivar = 1.0 / np.sqrt(var + state.eps)
+    xhat *= ivar[None, :, None]
+    gv, bv = value_of(gamma), value_of(beta)
+    np.multiply(xhat, gv[None, :, None], out=out)
+    out += bv[None, :, None]
+
+    m = state.momentum
+    state.running_mean *= 1.0 - m
+    state.running_mean += m * mu
+    state.running_var *= 1.0 - m
+    state.running_var += m * var * (n / (n - 1.0))  # unbiased for running stats
+
+    def backward_fn(g):
+        grad_beta = g.sum(axis=(0, 2))
+        gx = g * xhat
+        grad_gamma = gx.sum(axis=(0, 2))
+        grad_x = None
+        if needs_grad(x):
+            # (ivar/n) * (n*gamma*g - s1 - xhat*s2), s1 = gamma*grad_beta, s2 = gamma*grad_gamma
+            coef = gv * ivar / n
+            np.multiply(xhat, (coef * grad_gamma)[None, :, None], out=gx)
+            gx += (coef * grad_beta)[None, :, None]
+            grad_x = np.multiply(g, (n * coef)[None, :, None])
+            grad_x -= gx
+        return (grad_x, grad_gamma if needs_grad(gamma) else None,
+                grad_beta if needs_grad(beta) else None)
+
+    return ad.record("batchnorm", out, (x, gamma, beta), backward_fn)
+
+
+def old_relu(a):
+    av = value_of(a)
+
+    def backward_fn(g):
+        return (g * (av > 0),)  # subgradient at 0 is 0
+
+    return ad.record("relu", np.maximum(av, 0.0), (a,), backward_fn)
+
+
+def old_block(h, w, b, gamma, beta, st, stride, padding):
+    """One block of the old ``ModelGraph._extract`` loop, in training."""
+    h = old_conv1d(h, w, b, stride=stride, padding=padding)
+    h = old_batchnorm_train(h, gamma, beta, st)
+    return old_relu(h)
+
+
+def _tiny_plan_layers():
+    """(in_ch, out_ch, length, filter, stride, padding) of every tiny-plan conv."""
+    layers = []
+    for modality in ("eeg", "oxy"):  # deoxy shares oxy's plan
+        plan = models.TINY_PLANS[modality]
+        ch, t = plan["in_channels"], models.TINY_INPUT_LENGTHS[modality]
+        for blk, t_next in zip(plan["blocks"], models.time_chain(plan, t)):
+            layers.append(pytest.param(ch, blk["out_channels"], t, blk["filter"], blk["stride"], blk["padding"],
+                                       id=f"tiny-{modality}-{ch}x{t}-k{blk['filter']}s{blk['stride']}"))
+            ch, t = blk["out_channels"], t_next
+    return layers
+
+
+def _block_case(in_ch, out_ch, length, filt, batch, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch, in_ch, length))
+    w = rng.normal(size=(out_ch, in_ch, filt)) / np.sqrt(in_ch * filt)
+    b = rng.normal(size=out_ch)
+    gamma, beta = rng.uniform(0.5, 2.0, size=out_ch), rng.normal(size=out_ch)
+    state = ops.BatchNormState(rng.normal(size=out_ch), rng.uniform(0.5, 2.0, size=out_ch))
+    return x, w, b, gamma, beta, state, rng
+
+
+def _block_grads(block, x, w, b, gamma, beta, state, upstream, x_is_variable):
+    tape = ad.Tape()
+    vx = tape.variable(x) if x_is_variable else x
+    pv = [tape.variable(a) for a in (w, b, gamma, beta)]
+    y = block(vx, *pv, state)
+    ad.backward(tape, ad.sum_all(ad.mul(y, upstream)))
+    return y.value, (ad.grad_of(vx) if x_is_variable else None), *(ad.grad_of(v) for v in pv)
+
+
+class TestConvBnRelu:
+    @pytest.mark.parametrize("in_ch, out_ch, length, filt, stride, padding",
+                             FULL_PROFILE_LAYERS + _tiny_plan_layers())
+    @pytest.mark.parametrize("x_is_variable", [True, False], ids=["x-var", "x-const"])
+    def test_matches_three_op_path(self, in_ch, out_ch, length, filt, stride, padding, x_is_variable):
+        x, w, b, gamma, beta, state, rng = _block_case(in_ch, out_ch, length, filt, 16, seed=length + filt)
+        ref_state = copy.deepcopy(state)
+        t_out = ops.conv_out_length(length, filt, stride, padding)
+        upstream = rng.normal(size=(16, out_ch, t_out))
+        got = _block_grads(lambda *a: ops.conv_bn_relu(*a, stride=stride, padding=padding),
+                           x, w, b, gamma, beta, state, upstream, x_is_variable)
+        want = _block_grads(lambda *a: old_block(*a, stride, padding),
+                            x, w, b, gamma, beta, ref_state, upstream, x_is_variable)
+        for name, g, ref in zip(("out", "grad_x", "grad_w", "grad_b", "grad_gamma", "grad_beta"), got, want):
+            if name == "grad_x" and not x_is_variable:
+                assert g is None and ref is None
+            elif name == "grad_b":
+                # the bias cancels under batch norm: the old gradient was rounding noise
+                assert not np.any(g)
+                assert np.max(np.abs(ref)) <= 1e-12 * np.max(np.abs(want[2]))
+            else:
+                assert g.shape == ref.shape, name
+                assert rel_err(g, ref) <= RTOL, name
+        assert rel_err(state.running_mean, ref_state.running_mean) <= RTOL
+        assert rel_err(state.running_var, ref_state.running_var) <= RTOL
+
+    def test_returns_no_bias_gradient(self):
+        x, w, b, gamma, beta, state, _ = _block_case(3, 4, 10, 3, 2, seed=1)
+        tape = ad.Tape()
+        y = ops.conv_bn_relu(x, tape.variable(w), tape.variable(b), gamma, beta, state)
+        (node,) = tape.nodes
+        grad_x, grad_w, grad_b, grad_gamma, grad_beta = node.backward_fn(np.ones_like(y.value))
+        assert grad_x is None and grad_b is None and grad_gamma is None and grad_beta is None
+        assert grad_w.shape == w.shape
+
+    def test_output_is_a_view_of_the_channel_major_product(self):
+        x, w, b, gamma, beta, state, _ = _block_case(3, 4, 10, 3, 2, seed=2)
+        y = ops.conv_bn_relu(x, w, b, gamma, beta, state)
+        assert y.shape == (2, 4, 8) and y.base is not None and y.base.shape == (4, 16)
+        y_eval = ops.conv_bn_relu_eval(x, w, b, gamma, beta, state)
+        assert y_eval.shape == (2, 4, 8) and y_eval.base is not None
+        tape = ad.Tape()  # a tape Variable holds the view itself, not a copy
+        y_var = ops.conv_bn_relu(tape.variable(x), w, b, gamma, beta, state)
+        assert y_var.value.base is not None and not y_var.value.flags.c_contiguous
+
+    def test_needs_a_batch(self):
+        x, w, b, gamma, beta, state, _ = _block_case(3, 4, 10, 3, 1, seed=3)
+        with pytest.raises(ValueError, match="batch size >= 2"):
+            ops.conv_bn_relu(x, w, b, gamma, beta, state)
+        with pytest.raises(ValueError, match=r"batch, channels, time"):
+            ops.conv_bn_relu(x[0], w, b, gamma, beta, state)
+
+    @pytest.mark.parametrize("in_ch, out_ch, length, filt, stride, padding",
+                             FULL_PROFILE_LAYERS + _tiny_plan_layers())
+    def test_eval_matches_three_op_path(self, in_ch, out_ch, length, filt, stride, padding):
+        x, w, b, gamma, beta, state, _ = _block_case(in_ch, out_ch, length, filt, 4, seed=length * filt)
+        ref = ad.relu(ops.batchnorm_eval(ops.conv1d(x, w, b, stride=stride, padding=padding), gamma, beta, state))
+        got = ops.conv_bn_relu_eval(x, w, b, gamma, beta, state, stride=stride, padding=padding)
+        assert got.shape == ref.shape and rel_err(got, ref) <= RTOL
+        one = ops.conv_bn_relu_eval(x[1], w, b, gamma, beta, state, stride=stride, padding=padding)
+        assert one.shape == ref[1].shape and rel_err(one, ref[1]) <= RTOL
+
+    def test_eval_reads_the_current_parameters(self):
+        # nothing is cached between calls: moving a parameter moves the next output
+        x, w, b, gamma, beta, state, _ = _block_case(3, 4, 10, 3, 2, seed=4)
+        before = ops.conv_bn_relu_eval(x, w, b, gamma, beta, state).copy()
+        for arr in (w, b, gamma, beta, state.running_mean, state.running_var):
+            arr += 0.5
+            after = ops.conv_bn_relu_eval(x, w, b, gamma, beta, state)
+            ref = ad.relu(ops.batchnorm_eval(ops.conv1d(x, w, b), gamma, beta, state))
+            assert not np.array_equal(after, before) and rel_err(after, ref) <= RTOL
+            before = after.copy()
+
+
+# ---------------------------------------------------------------------------
 # Adam
 
 def adam_reference(params, grads, state):
@@ -510,6 +726,44 @@ def adam_reference(params, grads, state):
         p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
+def old_adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState) -> AdamState:
+    """One bias-corrected Adam update, in place on the parameter arrays."""
+    state.step += 1
+    t = state.step
+    need = max((p.size for p in params.values()), default=0)
+    if state.scratch.shape[1] < need:
+        state.scratch = np.empty((2, need))
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p)
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r} at step {t}")
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
+        a = state.scratch[0, :p.size].reshape(p.shape)
+        b = state.scratch[1, :p.size].reshape(p.shape)
+        # p -= lr * m_hat / (sqrt(v_hat) + eps), one ufunc at a time through the scratch rows
+        m *= state.beta1
+        m += np.multiply(g, 1.0 - state.beta1, out=a)
+        v *= state.beta2
+        np.multiply(g, 1.0 - state.beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, 1.0 - state.beta1**t, out=a)
+        a *= state.lr
+        np.divide(v, 1.0 - state.beta2**t, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        p -= np.divide(a, b, out=a)
+    return state
+
+
+PF3_FULL = {"type": "fused", "profile": "full",
+            "fusion": {"kind": "PF", "order": 3, "rank": 16, "symmetric": True, "output_dim": 128}}
+
+
 class TestAdam:
     def test_bit_identical_over_steps(self):
         rng = np.random.default_rng(5)
@@ -531,6 +785,53 @@ class TestAdam:
         params = {"a": np.ones(4), "b": np.ones(2)}
         with pytest.raises(FloatingPointError, match="'b'"):
             adam_step(params, {"a": np.ones(4), "b": np.array([1.0, np.inf])}, AdamState())
+
+    def test_chunked_bit_identical_to_whole_array_update_on_full_model(self):
+        # 1,429,534 entries in 76 arrays, the largest far over one chunk
+        params = models.build_from_spec(PF3_FULL, seed=3).params
+        ref_params = {k: v.copy() for k, v in params.items()}
+        assert max(p.size for p in params.values()) > 4 * train.ADAM_CHUNK
+        rng = np.random.default_rng(6)
+        state, ref_state = AdamState(lr=0.01), AdamState(lr=0.01)
+        for _ in range(5):
+            grads = {k: rng.normal(size=p.shape) for k, p in params.items() if k != "eeg.bn2.beta"}
+            adam_step(params, grads, state)
+            old_adam_step(ref_params, grads, ref_state)
+        for k in params:
+            assert np.array_equal(params[k], ref_params[k]), k
+            assert np.array_equal(state.m[k], ref_state.m[k]), k
+            assert np.array_equal(state.v[k], ref_state.v[k]), k
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_in_a_later_chunk_raises(self, bad):
+        size = 3 * train.ADAM_CHUNK + 5
+        params = {"a": np.ones(4), "big": np.ones(size)}
+        g = np.ones(size)
+        g[-2] = bad
+        before = params["big"].copy()
+        with pytest.raises(FloatingPointError, match="'big'"):
+            adam_step(params, {"a": np.ones(4), "big": g}, AdamState())
+        assert np.array_equal(params["big"], before)
+
+    def test_finite_gradient_whose_sum_overflows_is_accepted(self):
+        params = {"a": np.ones(4)}
+        g = np.full(4, 1e308)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(g.sum())
+            state = adam_step(params, {"a": g}, AdamState())
+        assert state.step == 1 and np.all(np.isfinite(params["a"]))
+
+    def test_non_contiguous_parameter_is_refused(self):
+        # the update goes through a flat view; a reshape copy would drop it silently
+        params = {"w": np.ones((4, 3)).T}
+        with pytest.raises(ValueError):
+            adam_step(params, {"w": np.ones((3, 4))}, AdamState())
+
+    def test_built_and_loaded_parameters_are_c_contiguous(self, tmp_path):
+        model = models.build_from_spec(PF3_FULL, seed=0)
+        models.save_model(model, tmp_path / "ckpt")
+        for params in (model.params, models.load_model(tmp_path / "ckpt").params):
+            assert all(p.flags.c_contiguous for p in params.values())
 
 
 # ---------------------------------------------------------------------------

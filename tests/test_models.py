@@ -145,6 +145,14 @@ class TestForward:
             alone = model.forward(tuple(a[i:i + 1] for a in x))
             assert np.max(np.abs(alone[0] - together[i])) <= 1e-12 * np.max(np.abs(together[i]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_logits_raise(self, bad):
+        # argmax would read a NaN row as class 0 and report it as a prediction
+        model = models.build_from_spec(self.SPEC, seed=1)
+        model.params["head.b"][1] = bad
+        with pytest.raises(FloatingPointError, match="non-finite logits"):
+            model.predict(self.batch(2))
+
     def test_training_forward_moves_running_mean(self):
         from trifuse import autodiff as ad
 
