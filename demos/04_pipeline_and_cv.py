@@ -23,8 +23,7 @@ for i in range(20):
         deoxy=rng.normal(size=(36, 350)), onset_sample=2000,
     ))
 
-segments = [s for t in trials for s in data.segment_trial(t)]
-ds = data.segments_to_dataset(segments)
+ds = data.segment_trials(trials)
 print(f"{len(trials)} trials -> {len(ds)} segments "
       f"(33 windows each, offsets {ds.offsets.min()}..{ds.offsets.max()})")
 

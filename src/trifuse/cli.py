@@ -146,9 +146,18 @@ def _resolve(args) -> config.RunConfig:
 
 
 def _require_out(cfg: config.RunConfig) -> str:
-    if not cfg.out:
+    """The run's output directory. Refused, before any work, where the final swap
+    would replace a file or a directory that holds the run's data manifest."""
+    out = cfg.out
+    if not out:
         raise config.ConfigError("no output directory: pass --out, set 'out' in the config, or export TRIFUSE_OUT")
-    return cfg.out
+    if os.path.lexists(out) and not os.path.isdir(out):
+        raise config.ConfigError(f"output path {out} exists and is not a directory")
+    manifest, real_out = cfg.data.get("manifest"), os.path.realpath(out)
+    if manifest and os.path.isdir(out) and os.path.commonpath([real_out, os.path.realpath(manifest)]) == real_out:
+        raise config.ConfigError(f"output directory {out} holds the data manifest {manifest}; "
+                                 "replacing it would delete the dataset")
+    return out
 
 
 # ---------------------------------------------------------------------------

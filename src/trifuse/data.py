@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import load_tensor, save_tensor
 
@@ -34,6 +35,11 @@ SEGMENTS_PER_TRIAL = len(OFFSETS)  # 33
 EEG_WINDOW = WINDOW_SECONDS * EEG_SR  # 600
 NIRS_WINDOW = WINDOW_SECONDS * NIRS_SR  # 30
 TASKS = ("MI", "MA")
+MODALITY_SHAPES = {
+    "eeg": (EEG_CHANNELS, EEG_WINDOW),
+    "oxy": (NIRS_CHANNELS, NIRS_WINDOW),
+    "deoxy": (NIRS_CHANNELS, NIRS_WINDOW),
+}
 
 
 class DataError(ValueError):
@@ -61,17 +67,6 @@ class TrialRecording:
     oxy: np.ndarray  # [36, time] at 10 Hz
     deoxy: np.ndarray  # [36, time] at 10 Hz
     onset_sample: int  # EEG sample index of task onset
-
-
-@dataclass
-class ModalSegment:
-    x1: np.ndarray  # EEG   [30, 600]
-    x2: np.ndarray  # oxy   [36, 30]
-    x3: np.ndarray  # deoxy [36, 30]
-    label: int
-    offset: int  # window left edge in seconds relative to onset
-    trial_id: int
-    subject: str
 
 
 @dataclass
@@ -114,71 +109,64 @@ class SegmentDataset:
             raise DataError(f"unknown modality {name!r}") from None
 
 
-def segments_to_dataset(segments: list[ModalSegment], planted: np.ndarray | None = None) -> SegmentDataset:
-    return SegmentDataset(
-        eeg=np.stack([s.x1 for s in segments]),
-        oxy=np.stack([s.x2 for s in segments]),
-        deoxy=np.stack([s.x3 for s in segments]),
-        labels=np.array([s.label for s in segments], dtype=np.int64),
-        trial_ids=np.array([s.trial_id for s in segments], dtype=np.int64),
-        offsets=np.array([s.offset for s in segments], dtype=np.int64),
-        subjects=np.array([s.subject for s in segments]),
-        planted=planted,
-    )
-
-
 # ---------------------------------------------------------------------------
 # sliding-window segmentation
 
-def segment_trial(rec: TrialRecording) -> list[ModalSegment]:
-    """Cut one 35 s recording into 33 overlapping 3 s segments."""
+# (name in messages, channel count, sample rate); the name lower-cased is the field
+_MODALITIES = (("EEG", EEG_CHANNELS, EEG_SR), ("oxy", NIRS_CHANNELS, NIRS_SR), ("deoxy", NIRS_CHANNELS, NIRS_SR))
+
+
+def _span_start(onset_sample: int, sr: int) -> int:
+    """Index, at ``sr`` Hz, of the first sample of the span that opens 10 s before onset."""
+    return onset_sample * sr // EEG_SR - REST_BEFORE * sr
+
+
+def _trial_problem(rec: TrialRecording) -> str | None:
+    """Why ``rec`` cannot be cut into 33 windows, or None when it can."""
     problems = []
-    if rec.eeg.ndim != 2 or rec.eeg.shape[0] != EEG_CHANNELS:
-        problems.append(f"trial {rec.trial_id}: EEG must be [{EEG_CHANNELS}, time], got {rec.eeg.shape}")
-    for name, arr in (("oxy", rec.oxy), ("deoxy", rec.deoxy)):
-        if arr.ndim != 2 or arr.shape[0] != NIRS_CHANNELS:
-            problems.append(f"trial {rec.trial_id}: {name} must be [{NIRS_CHANNELS}, time], got {arr.shape}")
+    for name, channels, _ in _MODALITIES:
+        arr = getattr(rec, name.lower())
+        if arr.ndim != 2 or arr.shape[0] != channels:
+            problems.append(f"trial {rec.trial_id}: {name} must be [{channels}, time], got {arr.shape}")
     if rec.label not in (0, 1):
         problems.append(f"trial {rec.trial_id}: label must be 0 or 1, got {rec.label}")
     if rec.onset_sample % (EEG_SR // NIRS_SR) != 0:
-        problems.append(
-            f"trial {rec.trial_id}: onset_sample {rec.onset_sample} not divisible by {EEG_SR // NIRS_SR}; "
-            f"EEG and NIRS clocks cannot align"
-        )
+        problems.append(f"trial {rec.trial_id}: onset_sample {rec.onset_sample} not divisible by "
+                        f"{EEG_SR // NIRS_SR}; EEG and NIRS clocks cannot align")
     if problems:
-        raise DataError("; ".join(problems))
+        return "; ".join(problems)
+    for name, _, sr in _MODALITIES:
+        length = getattr(rec, name.lower()).shape[1]
+        start = _span_start(rec.onset_sample, sr)
+        end = start + TRIAL_SECONDS * sr
+        if start < 0 or end > length:
+            span = f"-{REST_BEFORE}s..+{SPAN_AFTER}s around onset" if name == "EEG" else f"the {TRIAL_SECONDS}s span"
+            return (f"trial {rec.trial_id}: {name} does not cover {span} "
+                    f"(missing {max(0, -start) / sr:.2f}s before, {max(0, end - length) / sr:.2f}s after)")
+    return None
 
-    t0 = rec.onset_sample
-    eeg_start, eeg_end = t0 - REST_BEFORE * EEG_SR, t0 + SPAN_AFTER * EEG_SR
-    if eeg_start < 0 or eeg_end > rec.eeg.shape[1]:
-        missing_before = max(0, -eeg_start) / EEG_SR
-        missing_after = max(0, eeg_end - rec.eeg.shape[1]) / EEG_SR
-        raise DataError(
-            f"trial {rec.trial_id}: EEG does not cover -{REST_BEFORE}s..+{SPAN_AFTER}s around onset "
-            f"(missing {missing_before:.2f}s before, {missing_after:.2f}s after)"
-        )
-    t0_n = t0 * NIRS_SR // EEG_SR
-    nirs_start, nirs_end = t0_n - REST_BEFORE * NIRS_SR, t0_n + SPAN_AFTER * NIRS_SR
-    for name, arr in (("oxy", rec.oxy), ("deoxy", rec.deoxy)):
-        if nirs_start < 0 or nirs_end > arr.shape[1]:
-            missing_before = max(0, -nirs_start) / NIRS_SR
-            missing_after = max(0, nirs_end - arr.shape[1]) / NIRS_SR
-            raise DataError(
-                f"trial {rec.trial_id}: {name} does not cover the 35s span "
-                f"(missing {missing_before:.2f}s before, {missing_after:.2f}s after)"
-            )
 
-    segments = []
-    for off in OFFSETS:
-        e0 = t0 + off * EEG_SR
-        n0 = t0_n + off * NIRS_SR
-        segments.append(ModalSegment(
-            x1=np.array(rec.eeg[:, e0:e0 + EEG_WINDOW]),
-            x2=np.array(rec.oxy[:, n0:n0 + NIRS_WINDOW]),
-            x3=np.array(rec.deoxy[:, n0:n0 + NIRS_WINDOW]),
-            label=int(rec.label), offset=off, trial_id=int(rec.trial_id), subject=str(rec.subject),
-        ))
-    return segments
+def segment_trials(recordings: list[TrialRecording]) -> SegmentDataset:
+    """Cut every 35 s recording into 33 overlapping 3 s windows, in order:
+    recording i fills rows 33*i .. 33*i + 32. Each window is copied once,
+    straight into its column; bad recordings raise one error naming each."""
+    bad = [problem for rec in recordings if (problem := _trial_problem(rec)) is not None]
+    if bad:
+        raise DataError("; ".join(bad))
+    n = len(recordings)
+    cols = {}
+    for name, _, sr in _MODALITIES:
+        col = cols[name.lower()] = np.empty((n * SEGMENTS_PER_TRIAL,) + MODALITY_SHAPES[name.lower()])
+        for i, rec in enumerate(recordings):
+            start = _span_start(rec.onset_sample, sr)
+            span = getattr(rec, name.lower())[:, start:start + TRIAL_SECONDS * sr]
+            windows = sliding_window_view(span, WINDOW_SECONDS * sr, axis=1)[:, ::STEP_SECONDS * sr]
+            col[i * SEGMENTS_PER_TRIAL:(i + 1) * SEGMENTS_PER_TRIAL] = windows.transpose(1, 0, 2)
+    labels, trial_ids = (np.repeat(np.array([getattr(rec, k) for rec in recordings], dtype=np.int64),
+                                   SEGMENTS_PER_TRIAL) for k in ("label", "trial_id"))
+    return SegmentDataset(**cols, labels=labels, trial_ids=trial_ids,
+                          offsets=np.tile(np.array(OFFSETS, dtype=np.int64), n),
+                          subjects=np.repeat(np.array([str(rec.subject) for rec in recordings]), SEGMENTS_PER_TRIAL))
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +213,6 @@ class SynthSpec:
             "segments_per_trial": self.segments_per_trial, "noise": self.noise,
             "n_subjects": self.n_subjects,
         }
-
-
-MODALITY_SHAPES = {
-    "eeg": (EEG_CHANNELS, EEG_WINDOW),
-    "oxy": (NIRS_CHANNELS, NIRS_WINDOW),
-    "deoxy": (NIRS_CHANNELS, NIRS_WINDOW),
-}
 
 
 def _patterns(rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -440,15 +421,19 @@ def load_manifest(path) -> SegmentDataset:
 
 
 def _entry_ok(entry, label: str, ints: tuple[str, ...], problems: list[str]) -> bool:
-    """Whether a manifest entry is an object whose ``ints`` fields (where present)
-    are 64-bit integers and whose ``subject`` is a string; problems are appended."""
+    """Whether a manifest entry is an object holding its ``ints`` fields as 64-bit
+    integers, ``subject`` as a string and ``label`` as 0 or 1; problems are appended."""
     if not isinstance(entry, dict):
         problems.append(f"{label}: entry must be an object, got {entry!r}")
         return False
-    wrong = [(k, "an integer") for k in ints
-             if type(v := entry.get(k, 0)) is not int or not -2**63 <= v < 2**63]
-    wrong += [] if isinstance(entry.get("subject", ""), str) else [("subject", "a string")]
-    problems.extend(f"{label}: {k} must be {what}, got {entry[k]!r}" for k, what in wrong)
+    wrong = [f"missing {k}" for k in (*ints, "subject", "label") if k not in entry]
+    wrong += [f"{k} must be an integer, got {v!r}" for k in ints
+              if k in entry and (type(v := entry[k]) is not int or not -2**63 <= v < 2**63)]
+    if "subject" in entry and not isinstance(entry["subject"], str):
+        wrong.append(f"subject must be a string, got {entry['subject']!r}")
+    if "label" in entry and entry["label"] not in (0, 1):
+        wrong.append(f"unknown label {entry['label']!r}")
+    problems.extend(f"{label}: {what}" for what in wrong)
     return not wrong
 
 
@@ -473,63 +458,43 @@ def _load_segments(base: str, doc: dict) -> SegmentDataset:
         want = (n,) + MODALITY_SHAPES[name]
         if arr.shape != want:
             problems.append(f"arrays: {name} has shape {arr.shape}, expected {want}")
-    labels, tids, offs, subjects = [], [], [], []
     for i, meta in enumerate(metas):
-        if not _entry_ok(meta, f"segment {i}", ("trial_id", "offset"), problems):
-            continue
-        lab = meta.get("label")
-        if lab not in (0, 1):
-            problems.append(f"segment {i}: unknown label {lab!r}")
-            lab = 0
-        labels.append(lab)
-        tids.append(meta.get("trial_id", -1))
-        offs.append(meta.get("offset", 0))
-        subjects.append(meta.get("subject", "s00"))
+        _entry_ok(meta, f"segment {i}", ("trial_id", "offset"), problems)
     if problems:
         raise ManifestError(problems)
-    return SegmentDataset(
-        arrays["eeg"], arrays["oxy"], arrays["deoxy"],
-        np.array(labels, dtype=np.int64), np.array(tids, dtype=np.int64),
-        np.array(offs, dtype=np.int64), np.array(subjects),
-    )
+    labels, trial_ids, offsets = (np.array([meta[k] for meta in metas], dtype=np.int64)
+                                  for k in ("label", "trial_id", "offset"))
+    return SegmentDataset(arrays["eeg"], arrays["oxy"], arrays["deoxy"], labels, trial_ids, offsets,
+                          np.array([meta["subject"] for meta in metas]))
 
 
 def _load_trials(base: str, doc: dict) -> SegmentDataset:
     problems: list[str] = []
-    segments: list[ModalSegment] = []
+    recordings: list[TrialRecording] = []
     seen_ids: set[int] = set()
     for i, entry in enumerate(_field(doc, "trials", list, problems)):
         label_tag = f"trial entry {i}"
         if not _entry_ok(entry, label_tag, ("trial_id", "onset_sample"), problems):
             continue
-        tid = entry.get("trial_id")
-        if tid is None:
-            problems.append(f"{label_tag}: missing trial_id")
-            tid = -1 - i
-        elif tid in seen_ids:
+        tid = entry["trial_id"]
+        if tid in seen_ids:
             problems.append(f"{label_tag}: duplicate trial_id {tid}")
         seen_ids.add(tid)
-        if entry.get("task") not in TASKS:
-            problems.append(f"{label_tag}: task must be one of {TASKS}, got {entry.get('task')!r}")
-        lab = entry.get("label")
-        if lab not in (0, 1):
-            problems.append(f"{label_tag}: unknown label {lab!r}")
-            lab = 0
-        eeg = _load_entry_tensor(base, entry, "eeg", problems, label_tag)
-        oxy = _load_entry_tensor(base, entry, "oxy", problems, label_tag)
-        deoxy = _load_entry_tensor(base, entry, "deoxy", problems, label_tag)
+        task = entry.get("task")
+        if task not in TASKS:
+            problems.append(f"{label_tag}: task must be one of {TASKS}, got {task!r}")
+        eeg, oxy, deoxy = (_load_entry_tensor(base, entry, key, problems, label_tag)
+                           for key in ("eeg", "oxy", "deoxy"))
         if eeg is None or oxy is None or deoxy is None:
             continue
-        rec = TrialRecording(
-            trial_id=tid, subject=entry.get("subject", "s00"), task=entry.get("task", "MI"),
-            label=int(lab), eeg=eeg, oxy=oxy, deoxy=deoxy, onset_sample=entry.get("onset_sample", 0),
-        )
-        try:
-            segments.extend(segment_trial(rec))
-        except DataError as exc:
-            problems.append(f"{label_tag}: {exc}")
+        rec = TrialRecording(trial_id=tid, subject=entry["subject"], task=task, label=entry["label"],
+                             eeg=eeg, oxy=oxy, deoxy=deoxy, onset_sample=entry["onset_sample"])
+        if (problem := _trial_problem(rec)) is not None:
+            problems.append(f"{label_tag}: {problem}")
+        else:
+            recordings.append(rec)
     if problems:
         raise ManifestError(problems)
-    if not segments:
+    if not recordings:
         raise ManifestError(["manifest contains no trials"])
-    return segments_to_dataset(segments)
+    return segment_trials(recordings)

@@ -61,17 +61,13 @@ def contract(a: np.ndarray, b: np.ndarray, axes_a: Sequence[int], axes_b: Sequen
     return np.tensordot(a, b, axes=(axes_a, axes_b))
 
 
-def tensor_to_bytes(t: np.ndarray) -> bytes:
-    """Serialize: order (u32), each dim (u64), then the f64 payload, little-endian."""
-    t = as_tensor(t)
-    header = struct.pack(MAGIC_HEADER_ORDER, t.ndim)
-    header += b"".join(struct.pack(MAGIC_HEADER_DIM, d) for d in t.shape)
-    return header + t.astype("<f8").tobytes(order="C")
-
-
 def save_tensor(path, t: np.ndarray) -> None:
+    """Write order (u32), each dim (u64), then the f64 payload, little-endian;
+    the payload straight from the array, which a C-ordered ``<f8`` input is."""
+    t = as_tensor(t)
     with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(t))
+        fh.write(struct.pack(f"<I{t.ndim}Q", t.ndim, *t.shape))
+        np.ascontiguousarray(t, dtype="<f8").tofile(fh)  # 1-d for a 0-d t: the header above is t's
 
 
 def load_tensor(path) -> np.ndarray:

@@ -345,8 +345,8 @@ def cross_validate(model_spec: dict, dataset: SegmentDataset, k: int = 5,
         assert fold_set == {fold} and len(np.intersect1d(train_idx, test_idx)) == 0
         tasks.append((model_spec, task_dataset, train_idx, test_idx, config, fold))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_fold_worker,
+    if jobs > 1:  # a pool starts all its workers at once: no more than there are folds
+        with ProcessPoolExecutor(max_workers=min(jobs, k), initializer=_init_fold_worker,
                                  initargs=(dataset,)) as pool:
             results = list(pool.map(_run_fold, tasks))
     else:

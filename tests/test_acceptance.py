@@ -132,15 +132,13 @@ def test_criterion_9_pipeline_conformance():
     rng = np.random.default_rng(0)
     rec = data.TrialRecording(0, "s00", "MI", 1, rng.normal(size=(30, 7000)),
                               rng.normal(size=(36, 350)), rng.normal(size=(36, 350)), 2000)
-    segments = data.segment_trial(rec)
-    offsets = [s.offset for s in segments]
-    ok_windows = len(segments) == 33 and offsets == list(range(-10, 23))
+    one = data.segment_trials([rec])
+    ok_windows = len(one) == 33 and one.offsets.tolist() == list(range(-10, 23))
 
     recs = [data.TrialRecording(i, "s00", "MI", i % 2, rng.normal(size=(30, 7000)),
                                 rng.normal(size=(36, 350)), rng.normal(size=(36, 350)), 2000)
             for i in range(10)]
-    all_segments = [s for r in recs for s in data.segment_trial(r)]
-    ds = data.segments_to_dataset(all_segments)
+    ds = data.segment_trials(recs)
     plan = data.make_folds(ds, k=5, seed=3)
     seen = np.zeros(len(ds), dtype=int)
     disjoint = True

@@ -425,6 +425,24 @@ class TestUsageErrors:
         assert "k must be at least 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "segment"])
+    @pytest.mark.parametrize("target, words", [
+        ("manifest-file", "exists and is not a directory"),
+        ("dataset-dir", "holds the data manifest"),
+        ("parent-dir", "holds the data manifest"),
+    ])
+    def test_out_over_the_data_is_refused(self, synth_manifest, tmp_path, capsys, command, target, words):
+        # the final swap would replace the manifest, or a directory holding it
+        out = {"manifest-file": synth_manifest, "dataset-dir": synth_manifest.parent,
+               "parent-dir": tmp_path}[target]
+        flags = [*DESK_PF, "--epochs", "1", "--k", "4"] if command == "train" else []
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run(command, "--data", str(synth_manifest), *flags, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and words in err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert not [p for p in tmp_path.rglob("*") if p.name.startswith((".tmp-", ".old-"))]
+
     @pytest.mark.parametrize("flags, doc", FAIL_CLOSED_PROBES.values(), ids=list(FAIL_CLOSED_PROBES))
     def test_bad_settings_fail_closed(self, synth_manifest, tmp_path, capsys, flags, doc):
         cfg_path = tmp_path / "cfg.json"

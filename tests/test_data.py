@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trifuse import data
+from trifuse.data import (EEG_CHANNELS, EEG_SR, EEG_WINDOW, NIRS_CHANNELS, NIRS_SR, NIRS_WINDOW, OFFSETS,
+                          REST_BEFORE, SPAN_AFTER)
 from trifuse.tensor import save_tensor
 
 
@@ -39,57 +42,168 @@ def tiny_dataset(n_trials=20, segments_per_trial=1, n_subjects=1, seed=0):
 
 class TestSegmentTrial:
     def test_thirty_three_segments(self):
-        segments = data.segment_trial(make_trial())
-        assert len(segments) == 33
-        assert [s.offset for s in segments] == list(range(-10, 23))
+        ds = data.segment_trials([make_trial()])
+        assert len(ds) == 33
+        assert ds.offsets.tolist() == list(range(-10, 23))
 
     def test_window_sample_ranges(self):
         rec = make_trial()
-        segments = data.segment_trial(rec)
-        first, last = segments[0], segments[-1]
+        ds = data.segment_trials([rec])
         # first window covers -10s..-7s, last covers 22s..25s
-        assert np.array_equal(first.x1, rec.eeg[:, 0:600])
-        assert np.array_equal(last.x1, rec.eeg[:, 6400:7000])
-        assert np.array_equal(first.x2, rec.oxy[:, 0:30])
-        assert np.array_equal(last.x3, rec.deoxy[:, 320:350])
+        assert np.array_equal(ds.eeg[0], rec.eeg[:, 0:600])
+        assert np.array_equal(ds.eeg[-1], rec.eeg[:, 6400:7000])
+        assert np.array_equal(ds.oxy[0], rec.oxy[:, 0:30])
+        assert np.array_equal(ds.deoxy[-1], rec.deoxy[:, 320:350])
 
     def test_segment_shapes(self):
-        for s in data.segment_trial(make_trial()):
-            assert s.x1.shape == (30, 600)
-            assert s.x2.shape == (36, 30)
-            assert s.x3.shape == (36, 30)
+        ds = data.segment_trials([make_trial()])
+        assert ds.eeg.shape == (33, 30, 600)
+        assert ds.oxy.shape == (33, 36, 30)
+        assert ds.deoxy.shape == (33, 36, 30)
 
     def test_constant_recording_gives_identical_segments(self):
         rec = make_trial()
         rec.eeg[:] = 1.5
         rec.oxy[:] = -0.5
         rec.deoxy[:] = 2.0
-        segments = data.segment_trial(rec)
-        for s in segments[1:]:
-            assert np.array_equal(s.x1, segments[0].x1)
-            assert np.array_equal(s.x2, segments[0].x2)
+        ds = data.segment_trials([rec])
+        for i in range(1, 33):
+            assert np.array_equal(ds.eeg[i], ds.eeg[0])
+            assert np.array_equal(ds.oxy[i], ds.oxy[0])
 
     def test_short_recording_reports_missing_span(self):
         rec = make_trial(eeg_len=6000)  # 5s short at the tail
         with pytest.raises(data.DataError, match="missing 0.00s before, 5.00s after"):
-            data.segment_trial(rec)
+            data.segment_trials([rec])
 
     def test_onset_too_early(self):
         rec = make_trial(onset=1000)
         with pytest.raises(data.DataError, match="before"):
-            data.segment_trial(rec)
+            data.segment_trials([rec])
 
     def test_channel_count_checked(self):
         rec = make_trial()
         rec = data.TrialRecording(rec.trial_id, rec.subject, rec.task, rec.label,
                                   rec.eeg[:29], rec.oxy, rec.deoxy, rec.onset_sample)
         with pytest.raises(data.DataError, match="EEG"):
-            data.segment_trial(rec)
+            data.segment_trials([rec])
 
     def test_onset_alignment_checked(self):
         rec = make_trial(onset=2001)
         with pytest.raises(data.DataError, match="divisible"):
-            data.segment_trial(rec)
+            data.segment_trials([rec])
+
+
+# ---------------------------------------------------------------------------
+# segment_trials against the per-window path it replaced (copied verbatim,
+# renamed old_*)
+
+@dataclass
+class OldModalSegment:
+    x1: np.ndarray  # EEG   [30, 600]
+    x2: np.ndarray  # oxy   [36, 30]
+    x3: np.ndarray  # deoxy [36, 30]
+    label: int
+    offset: int  # window left edge in seconds relative to onset
+    trial_id: int
+    subject: str
+
+
+def old_segments_to_dataset(segments: list[OldModalSegment], planted: np.ndarray | None = None) -> data.SegmentDataset:
+    return data.SegmentDataset(
+        eeg=np.stack([s.x1 for s in segments]),
+        oxy=np.stack([s.x2 for s in segments]),
+        deoxy=np.stack([s.x3 for s in segments]),
+        labels=np.array([s.label for s in segments], dtype=np.int64),
+        trial_ids=np.array([s.trial_id for s in segments], dtype=np.int64),
+        offsets=np.array([s.offset for s in segments], dtype=np.int64),
+        subjects=np.array([s.subject for s in segments]),
+        planted=planted,
+    )
+
+
+def old_segment_trial(rec: data.TrialRecording) -> list[OldModalSegment]:
+    """Cut one 35 s recording into 33 overlapping 3 s segments."""
+    problems = []
+    if rec.eeg.ndim != 2 or rec.eeg.shape[0] != EEG_CHANNELS:
+        problems.append(f"trial {rec.trial_id}: EEG must be [{EEG_CHANNELS}, time], got {rec.eeg.shape}")
+    for name, arr in (("oxy", rec.oxy), ("deoxy", rec.deoxy)):
+        if arr.ndim != 2 or arr.shape[0] != NIRS_CHANNELS:
+            problems.append(f"trial {rec.trial_id}: {name} must be [{NIRS_CHANNELS}, time], got {arr.shape}")
+    if rec.label not in (0, 1):
+        problems.append(f"trial {rec.trial_id}: label must be 0 or 1, got {rec.label}")
+    if rec.onset_sample % (EEG_SR // NIRS_SR) != 0:
+        problems.append(
+            f"trial {rec.trial_id}: onset_sample {rec.onset_sample} not divisible by {EEG_SR // NIRS_SR}; "
+            f"EEG and NIRS clocks cannot align"
+        )
+    if problems:
+        raise data.DataError("; ".join(problems))
+
+    t0 = rec.onset_sample
+    eeg_start, eeg_end = t0 - REST_BEFORE * EEG_SR, t0 + SPAN_AFTER * EEG_SR
+    if eeg_start < 0 or eeg_end > rec.eeg.shape[1]:
+        missing_before = max(0, -eeg_start) / EEG_SR
+        missing_after = max(0, eeg_end - rec.eeg.shape[1]) / EEG_SR
+        raise data.DataError(
+            f"trial {rec.trial_id}: EEG does not cover -{REST_BEFORE}s..+{SPAN_AFTER}s around onset "
+            f"(missing {missing_before:.2f}s before, {missing_after:.2f}s after)"
+        )
+    t0_n = t0 * NIRS_SR // EEG_SR
+    nirs_start, nirs_end = t0_n - REST_BEFORE * NIRS_SR, t0_n + SPAN_AFTER * NIRS_SR
+    for name, arr in (("oxy", rec.oxy), ("deoxy", rec.deoxy)):
+        if nirs_start < 0 or nirs_end > arr.shape[1]:
+            missing_before = max(0, -nirs_start) / NIRS_SR
+            missing_after = max(0, nirs_end - arr.shape[1]) / NIRS_SR
+            raise data.DataError(
+                f"trial {rec.trial_id}: {name} does not cover the 35s span "
+                f"(missing {missing_before:.2f}s before, {missing_after:.2f}s after)"
+            )
+
+    segments = []
+    for off in OFFSETS:
+        e0 = t0 + off * EEG_SR
+        n0 = t0_n + off * NIRS_SR
+        segments.append(OldModalSegment(
+            x1=np.array(rec.eeg[:, e0:e0 + EEG_WINDOW]),
+            x2=np.array(rec.oxy[:, n0:n0 + NIRS_WINDOW]),
+            x3=np.array(rec.deoxy[:, n0:n0 + NIRS_WINDOW]),
+            label=int(rec.label), offset=off, trial_id=int(rec.trial_id), subject=str(rec.subject),
+        ))
+    return segments
+
+
+COLUMNS = ("eeg", "oxy", "deoxy", "labels", "trial_ids", "offsets", "subjects")
+
+
+class TestSegmentTrialsMatchesPerWindowPath:
+    def test_columns_and_metadata_equal(self):
+        # mixed onsets (one NIRS sample apart), ids out of order, three subjects, both labels
+        recs = [make_trial(trial_id=tid, label=lab, subject=subj, onset=onset, seed=tid,
+                           eeg_len=7200, nirs_len=360)
+                for tid, lab, subj, onset in [(7, 1, "s02", 2000), (3, 0, "s00", 2020), (11, 1, "s01", 2180),
+                                              (0, 0, "s02", 2100), (5, 0, "s00", 2200)]]
+        new = data.segment_trials(recs)
+        old = old_segments_to_dataset([s for rec in recs for s in old_segment_trial(rec)])
+        for name in COLUMNS:
+            a, b = getattr(new, name), getattr(old, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert new.planted is None
+
+    def test_every_bad_trial_named_in_one_error(self):
+        good = make_trial(trial_id=0)
+        short = make_trial(trial_id=1, eeg_len=6000)
+        misaligned = make_trial(trial_id=2, onset=2001)
+        narrow = make_trial(trial_id=3, nirs_len=340)
+        with pytest.raises(data.DataError) as err:
+            data.segment_trials([good, short, misaligned, narrow])
+        want = []
+        for rec in (short, misaligned, narrow):
+            with pytest.raises(data.DataError) as old_err:
+                old_segment_trial(rec)
+            want.append(str(old_err.value))
+        assert str(err.value) == "; ".join(want)
+        assert "oxy does not cover the 35s span (missing 0.00s before, 1.00s after)" in str(err.value)
 
 
 class TestSynth:
@@ -321,8 +435,13 @@ class TestManifestEntryTypes:
         (lambda doc: doc["segments"][3].update(subject=7), "segment 3: subject must be a string"),
         (lambda doc: doc["segments"][0].update(trial_id=2**63), "trial_id must be an integer"),
         (lambda doc: doc.update(segments={}), "segments must be a JSON array"),
+        (lambda doc: doc["segments"][1].pop("trial_id"), "segment 1: missing trial_id"),
+        (lambda doc: doc["segments"][2].pop("offset"), "segment 2: missing offset"),
+        (lambda doc: doc["segments"][0].pop("subject"), "segment 0: missing subject"),
+        (lambda doc: doc["segments"][3].pop("label"), "segment 3: missing label"),
     ], ids=["trial-id-string", "null-entry", "arrays-list", "offset-float", "subject-int",
-            "trial-id-over-int64", "segments-object"])
+            "trial-id-over-int64", "segments-object", "trial-id-missing", "offset-missing",
+            "subject-missing", "label-missing"])
     def test_segments_entry_types(self, tmp_path, mutate, words):
         ds = data.synth_dataset(data.SynthSpec("additive", n_trials=4), seed=7)
         data.save_segments_manifest(ds, tmp_path)
@@ -339,7 +458,10 @@ class TestManifestEntryTypes:
         (lambda doc: doc["trials"][0].update(onset_sample="2000"), "onset_sample must be an integer"),
         (lambda doc: doc["trials"][1].update(subject=None), "subject must be a string"),
         (lambda doc: doc.update(trials="all"), "trials must be a JSON array"),
-    ], ids=["null-entry", "trial-id-string", "onset-string", "subject-null", "trials-string"])
+        (lambda doc: doc["trials"][1].pop("subject"), "trial entry 1: missing subject"),
+        (lambda doc: doc["trials"][0].pop("onset_sample"), "trial entry 0: missing onset_sample"),
+    ], ids=["null-entry", "trial-id-string", "onset-string", "subject-null", "trials-string",
+            "subject-missing", "onset-missing"])
     def test_trials_entry_types(self, tmp_path, mutate, words):
         data.save_trials_manifest([make_trial(trial_id=i, label=i % 2, seed=i) for i in range(2)], tmp_path)
         doc = json.loads((tmp_path / "manifest.json").read_text())
@@ -360,6 +482,16 @@ class TestManifestEntryTypes:
             data.load_manifest(tmp_path)
         assert len(err.value.problems) == 3
         assert str(err.value) == "manifest validation failed: " + "; ".join(err.value.problems)
+
+    def test_each_missing_field_is_one_problem(self, tmp_path):
+        ds = data.synth_dataset(data.SynthSpec("additive", n_trials=4), seed=7)
+        data.save_segments_manifest(ds, tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        doc["segments"][2] = {}
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(data.ManifestError) as err:
+            data.load_manifest(tmp_path)
+        assert err.value.problems == [f"segment 2: missing {k}" for k in ("trial_id", "offset", "subject", "label")]
 
     def test_not_an_object(self, tmp_path):
         (tmp_path / "manifest.json").write_text("[1, 2]")

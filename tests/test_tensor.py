@@ -80,9 +80,10 @@ class TestLayoutAndSerialization:
         assert t.flags["C_CONTIGUOUS"]
         assert np.array_equal(t.reshape(-1), [1, 2, 3, 4])  # last index fastest
 
-    def test_header_layout(self):
+    def test_header_layout(self, tmp_path):
         t = np.arange(6, dtype=np.float64).reshape(2, 3)
-        raw = tc.tensor_to_bytes(t)
+        tc.save_tensor(tmp_path / "t.ten", t)
+        raw = (tmp_path / "t.ten").read_bytes()
         order = struct.unpack_from("<I", raw, 0)[0]
         assert order == 2
         assert struct.unpack_from("<Q", raw, 4)[0] == 2
@@ -104,12 +105,13 @@ class TestLayoutAndSerialization:
         t = tc.as_tensor(7.5)
         assert t.shape == () and t.size == 1
         path = tmp_path / "s.ten"
-        path.write_bytes(tc.tensor_to_bytes(t))
+        tc.save_tensor(path, t)
         assert tc.load_tensor(path) == 7.5
 
     def test_truncated_payload_rejected(self, tmp_path):
-        raw = tc.tensor_to_bytes(np.ones((2, 2)))
         path = tmp_path / "t.ten"
+        tc.save_tensor(path, np.ones((2, 2)))
+        raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(tc.ShapeError):
             tc.load_tensor(path)
@@ -123,3 +125,34 @@ class TestLayoutAndSerialization:
         path.write_bytes(struct.pack("<I", 2) + struct.pack("<Q", 2**32) * 2)
         with pytest.raises(tc.ShapeError, match="expected"):
             tc.load_tensor(path)
+
+
+# ---------------------------------------------------------------------------
+# save_tensor writes the payload straight from the array; the whole-file
+# bytes path it replaced is copied verbatim, renamed old_tensor_to_bytes
+
+def old_tensor_to_bytes(t: np.ndarray) -> bytes:
+    """Serialize: order (u32), each dim (u64), then the f64 payload, little-endian."""
+    t = tc.as_tensor(t)
+    header = struct.pack(tc.MAGIC_HEADER_ORDER, t.ndim)
+    header += b"".join(struct.pack(tc.MAGIC_HEADER_DIM, d) for d in t.shape)
+    return header + t.astype("<f8").tobytes(order="C")
+
+
+_GRID = np.arange(24, dtype=np.float64).reshape(4, 6) * 0.37 - 2.5
+SAVE_INPUTS = {
+    "scalar": 7.5,
+    "0-d": np.array(-3.25),
+    "empty-0x3": np.zeros((0, 3)),
+    "strided-view": _GRID[::2, 1::3],
+    "float32": _GRID.astype(np.float32),
+    "big-endian": _GRID.astype(">f8"),
+    "fortran": np.asfortranarray(_GRID),
+    "nested-list": [[1.0, 2.5], [-0.5, 4.0]],
+}
+
+
+@pytest.mark.parametrize("value", SAVE_INPUTS.values(), ids=list(SAVE_INPUTS))
+def test_save_tensor_writes_the_old_bytes(tmp_path, value):
+    tc.save_tensor(tmp_path / "t.ten", value)
+    assert (tmp_path / "t.ten").read_bytes() == old_tensor_to_bytes(value)

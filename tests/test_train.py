@@ -220,6 +220,34 @@ class TestCrossValidation:
         assert train._worker_dataset is None
         assert len(parallel.fold_accuracies) == 3
 
+    def test_pool_starts_no_more_workers_than_folds(self, monkeypatch):
+        # a pool starts all max_workers processes at once: run it in-process
+        # and record the bound, so no process is started for jobs=10**6
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(train, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(train, "_worker_dataset", None)  # the initializer sets it here
+        ds = small_dataset(n_trials=12)
+        cfg = TrainConfig(epochs=1, batch_size=8, seed=4)
+        bounded = train.cross_validate(OXY_SPEC, ds, k=3, config=cfg, jobs=10**6)
+        assert started == [3]
+        serial = train.cross_validate(OXY_SPEC, ds, k=3, config=cfg, jobs=1)
+        assert json.dumps(bounded.to_dict(), sort_keys=True) == json.dumps(serial.to_dict(), sort_keys=True)
+
     def test_parallel_folds_under_spawn(self):
         # a spawned worker starts from a fresh import: the initializer and its
         # dataset must survive pickling (the default start method from Python 3.14 is forkserver)
