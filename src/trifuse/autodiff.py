@@ -29,13 +29,14 @@ class NonFiniteError(AutodiffError):
 
 
 class Variable:
-    """A tensor value tracked on a tape, with a lazily allocated gradient."""
+    """A tensor value on a tape; backward writes its gradient into ``buffer`` if set, else into a new array."""
 
-    __slots__ = ("value", "grad", "requires_grad", "tape", "node_id")
+    __slots__ = ("value", "grad", "buffer", "requires_grad", "tape", "node_id")
 
     def __init__(self, value, tape: "Tape", requires_grad: bool, node_id: int):
         self.value = tc.as_tensor(value)
         self.grad: np.ndarray | None = None
+        self.buffer: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.tape = tape
         self.node_id = node_id
@@ -109,10 +110,13 @@ def backward(tape: Tape, loss: Variable) -> None:
 
 
 def _accumulate(v: Variable, g: np.ndarray) -> None:
-    if v.grad is None:
-        v.grad = np.array(g, dtype=np.float64, copy=True)
-    else:
+    if v.grad is not None:
         v.grad += g
+    elif v.buffer is not None:
+        v.grad = v.buffer
+        np.copyto(v.grad, g)
+    else:
+        v.grad = np.array(g, dtype=np.float64, copy=True)
 
 
 # ---------------------------------------------------------------------------

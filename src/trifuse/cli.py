@@ -27,6 +27,11 @@ EXIT_RUNTIME = 3
 
 MAX_COUNT_DIGITS = 4300  # the longest int Python converts to a string by default
 
+# an empty --out, or what train, cv, and synth or segment leave in it: the only
+# directory contents the final swap may replace
+OUT_ENTRIES = (set(), {"checkpoint", "train_report.json"}, {"cv_report.json", "folds.csv"},
+               {data.MANIFEST_NAME, *data.SEGMENT_ARRAYS.values()})
+
 
 class _Atomic:
     """Stage artifacts in a temp dir, swap into place only on success.
@@ -147,7 +152,8 @@ def _resolve(args) -> config.RunConfig:
 
 def _require_out(cfg: config.RunConfig) -> str:
     """The run's output directory. Refused, before any work, where the final swap
-    would replace a file or a directory that holds the run's data manifest."""
+    would replace a file, a directory that holds the run's data manifest, or a
+    non-empty directory that no trifuse command wrote."""
     out = cfg.out
     if not out:
         raise config.ConfigError("no output directory: pass --out, set 'out' in the config, or export TRIFUSE_OUT")
@@ -157,6 +163,9 @@ def _require_out(cfg: config.RunConfig) -> str:
     if manifest and os.path.isdir(out) and os.path.commonpath([real_out, os.path.realpath(manifest)]) == real_out:
         raise config.ConfigError(f"output directory {out} holds the data manifest {manifest}; "
                                  "replacing it would delete the dataset")
+    if os.path.isdir(out) and set(os.listdir(out)) not in OUT_ENTRIES:
+        raise config.ConfigError(f"output directory {out} holds files no trifuse command wrote; "
+                                 "pass a new or empty directory, or a previous run's output")
     return out
 
 

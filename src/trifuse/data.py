@@ -325,18 +325,18 @@ def fold_indices(dataset: SegmentDataset, plan: FoldPlan, fold: int) -> tuple[np
 # manifests
 
 MANIFEST_NAME = "manifest.json"
+SEGMENT_ARRAYS = {"eeg": "eeg.ten", "oxy": "oxy.ten", "deoxy": "deoxy.ten"}
 
 
 def save_segments_manifest(dataset: SegmentDataset, outdir) -> str:
     """Write a segment dataset as stacked per-modality tensors plus metadata."""
     os.makedirs(outdir, exist_ok=True)
-    arrays = {"eeg": "eeg.ten", "oxy": "oxy.ten", "deoxy": "deoxy.ten"}
-    for name, fname in arrays.items():
+    for name, fname in SEGMENT_ARRAYS.items():
         save_tensor(os.path.join(outdir, fname), dataset.modality(name))
     doc = {
         "kind": "segments",
         "version": 1,
-        "arrays": arrays,
+        "arrays": SEGMENT_ARRAYS,
         "segments": [
             {"trial_id": int(t), "subject": str(s), "label": int(l), "offset": int(o)}
             for t, s, l, o in zip(dataset.trial_ids, dataset.subjects, dataset.labels, dataset.offsets)

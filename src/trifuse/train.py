@@ -48,8 +48,8 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # Adam
 
-# Adam runs its ufuncs over each array this many entries at a time, so that a
-# chunk and the two scratch rows stay in cache between one ufunc and the next
+# Adam runs its ufuncs over the flat arrays this many entries at a time, so
+# that a chunk and the two scratch rows stay in cache between one ufunc and the next
 ADAM_CHUNK = 1 << 14
 
 
@@ -60,53 +60,57 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None  # the moments, flat as the parameters; zeros made at step 1 if not given
+    v: np.ndarray | None = None
     # two work rows of ADAM_CHUNK entries, reused by every update
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_CHUNK)), init=False, repr=False,
                                 compare=False)
 
     @classmethod
-    def for_config(cls, config: TrainConfig) -> "AdamState":
-        return cls(lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+    def for_config(cls, config: TrainConfig, size: int) -> "AdamState":
+        return cls(config.lr, config.beta1, config.beta2, config.eps, m=np.zeros(size), v=np.zeros(size))
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState) -> AdamState:
-    """One bias-corrected Adam update, in place on the parameter arrays, which
-    must be C-contiguous: each is updated through a flat view of itself."""
-    state.step += 1
-    t = state.step
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        if not _all_finite(g):
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, named: dict[str, np.ndarray]) -> AdamState:
+    """One bias-corrected Adam update, in place on the flat parameter array.
+
+    ``named`` holds the parameters by name, in the order they lie in ``params`` and ``grads``.
+    A non-finite gradient raises ``FloatingPointError`` naming its parameter before anything moves.
+    """
+    sizes = [p.size for p in named.values()]
+    if not params.shape == grads.shape == (sum(sizes),):
+        raise ValueError("adam_step needs flat parameters and gradients as long as the named arrays together")
+    t = state.step + 1
+    for s in range(0, grads.size, ADAM_CHUNK):
+        if not _all_finite(grads[s:s + ADAM_CHUNK]):
+            bad = s + int(np.argmin(np.isfinite(grads[s:s + ADAM_CHUNK])))
+            name = list(named)[int(np.searchsorted(np.cumsum(sizes), bad, side="right"))]
             raise FloatingPointError(f"non-finite gradient for parameter {name!r} at step {t}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        arrays = (p, state.m[name], state.v[name])
-        if not all(arr.flags.c_contiguous for arr in arrays):
-            raise ValueError(f"parameter {name!r} is not C-contiguous; its update would land in a copy")
-        # reshape of a C-contiguous array is a view
-        flat_p, flat_m, flat_v = (arr.reshape(-1) for arr in arrays)
-        flat_g = g.reshape(-1)
-        for s in range(0, p.size, ADAM_CHUNK):
-            p1, g1, m, v = (arr[s:s + ADAM_CHUNK] for arr in (flat_p, flat_g, flat_m, flat_v))
-            a, b = state.scratch[0, :p1.size], state.scratch[1, :p1.size]
-            # p -= lr * m_hat / (sqrt(v_hat) + eps), one ufunc at a time through the scratch rows
-            m *= state.beta1
-            m += np.multiply(g1, 1.0 - state.beta1, out=a)
-            v *= state.beta2
-            np.multiply(g1, 1.0 - state.beta2, out=a)
-            v += np.multiply(a, g1, out=a)
-            np.divide(m, 1.0 - state.beta1**t, out=a)
-            a *= state.lr
-            np.divide(v, 1.0 - state.beta2**t, out=b)
-            np.sqrt(b, out=b)
-            b += state.eps
-            p1 -= np.divide(a, b, out=a)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+    state.step = t
+    for s in range(0, params.size, ADAM_CHUNK):
+        p1, g1, m, v = (arr[s:s + ADAM_CHUNK] for arr in (params, grads, state.m, state.v))
+        a, b = state.scratch[0, :p1.size], state.scratch[1, :p1.size]
+        # p -= lr * m_hat / (sqrt(v_hat) + eps), one ufunc at a time through the scratch rows
+        m *= state.beta1
+        m += np.multiply(g1, 1.0 - state.beta1, out=a)
+        v *= state.beta2
+        np.multiply(g1, 1.0 - state.beta2, out=a)
+        v += np.multiply(a, g1, out=a)
+        np.divide(m, 1.0 - state.beta1**t, out=a)
+        a *= state.lr
+        np.divide(v, 1.0 - state.beta2**t, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        p1 -= np.divide(a, b, out=a)
     return state
+
+
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Arrays shaped as ``like``'s, laid end to end in the 1-d ``flat``: views of it."""
+    ends = np.cumsum([p.size for p in like.values()])
+    return {k: flat[e - p.size:e].reshape(p.shape) for (k, p), e in zip(like.items(), ends)}
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +261,10 @@ def _train(model: ModelGraph, dataset: SegmentDataset, split, config: TrainConfi
     if len(np.intersect1d(dataset.trial_ids[train_idx], dataset.trial_ids[test_idx])) > 0:
         raise ValueError("train and test splits share trials")
     rng = np.random.default_rng(config.seed)
-    adam = AdamState.for_config(config)
+    # one arena per run: the parameters become views of one flat array, which Adam sweeps whole
+    arena = np.concatenate([p.ravel() for p in model.params.values()], dtype=np.float64)
+    model.params = _views(arena, model.params)
+    adam = AdamState.for_config(config, arena.size)  # moments made before any step: see the gradient's note
     losses = []
     for epoch in range(config.epochs):
         order = rng.permutation(train_idx) if config.shuffle else train_idx
@@ -273,17 +280,25 @@ def _train(model: ModelGraph, dataset: SegmentDataset, split, config: TrainConfi
             lval = float(loss.value)
             if not np.isfinite(lval):
                 raise TrainingDiverged(epoch, lval)
+            # one flat gradient, made after the forward and kept into the next step: it sits above the
+            # activations on the heap, so malloc reuses their memory instead of trimming it (9k page
+            # faults a full PF3 step otherwise; Adam's moments, made at a run's first step, did the same)
+            grad = np.empty_like(arena)
+            for v, buffer in zip(pvars.values(), _views(grad, model.params).values()):
+                v.buffer = buffer
             ad.backward(tape, loss)
-            grads = {k: ad.grad_of(v) for k, v in pvars.items()}
+            for v in pvars.values():
+                if v.grad is None:  # the loss never reached it (the conv biases)
+                    v.buffer.fill(0.0)
             # nodes and their Variables point back at the tape: break that cycle so
             # the step's activations are freed by refcount, not by the cyclic GC
             tape.nodes.clear()
-            adam_step(model.params, grads, adam)
+            adam_step(arena, grad, adam, model.params)
             epoch_loss += lval * len(batch)
         losses.append(epoch_loss / len(order))
-    for name, p in model.params.items():
-        if not np.all(np.isfinite(p)):
-            raise TrainingDiverged(config.epochs - 1, float(np.max(np.abs(p))), f"parameter {name!r}")
+    if not _all_finite(arena):
+        name, p = next((k, p) for k, p in model.params.items() if not _all_finite(p))
+        raise TrainingDiverged(config.epochs - 1, float(np.max(np.abs(p))), f"parameter {name!r}")
 
     if len(test_idx):
         stats = evaluate(model, dataset, test_idx, config.eval_batch, config.trial_vote)

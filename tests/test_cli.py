@@ -72,6 +72,14 @@ def run_subprocess(argv, prelude=""):
                           text=True, timeout=300)
 
 
+def run_flags(command, manifest):
+    """Flags for a quick synth, train or cv run, all but --out."""
+    return {"synth": ["--synth", "additive", "--trials", "4"],
+            "train": ["--data", str(manifest), *DESK_PF, "--epochs", "1", "--k", "4"],
+            "cv": ["--data", str(manifest), "--model", "oxy", "--profile", "desk", "--epochs", "1", "--k", "4"],
+            }[command]
+
+
 @pytest.fixture()
 def synth_manifest(tmp_path):
     out = tmp_path / "ds"
@@ -442,6 +450,49 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1 and words in err
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
         assert not [p for p in tmp_path.rglob("*") if p.name.startswith((".tmp-", ".old-"))]
+
+    @pytest.mark.parametrize("command", ["synth", "train", "cv"])
+    @pytest.mark.parametrize("previous", [None, "cv"], ids=["foreign-only", "foreign-beside-cv-artifacts"])
+    def test_out_holding_foreign_files_is_refused(self, synth_manifest, tmp_path, capsys, command, previous):
+        # the final swap would delete a file no trifuse command wrote
+        home = tmp_path / "home"
+        if previous:
+            assert run(previous, *run_flags(previous, synth_manifest), "--out", str(home)) == 0
+        home.mkdir(exist_ok=True)
+        (home / "notes.txt").write_text("mine\n")
+        flags = run_flags(command, synth_manifest)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run(command, *flags, "--out", str(home)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "no trifuse command wrote" in err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert not [p for p in tmp_path.rglob("*") if p.name.startswith((".tmp-", ".old-"))]
+
+    def test_out_holding_only_the_data_tensors_is_refused(self, synth_manifest, tmp_path, capsys):
+        # the manifest lives elsewhere and points into --out: the swap would delete its arrays
+        doc = json.loads(synth_manifest.read_text())
+        doc["arrays"] = {k: f"../ds/{v}" for k, v in doc["arrays"].items()}
+        synth_manifest.unlink()
+        (tmp_path / "meta").mkdir()
+        (tmp_path / "meta" / "manifest.json").write_text(json.dumps(doc))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run("train", *run_flags("train", tmp_path / "meta" / "manifest.json"),
+                   "--out", str(synth_manifest.parent)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no trifuse command wrote" in err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert not [p for p in tmp_path.rglob("*") if p.name.startswith((".tmp-", ".old-"))]
+
+    @pytest.mark.parametrize("command", ["synth", "train", "cv"])
+    def test_rerun_replaces_a_previous_output(self, synth_manifest, tmp_path, command):
+        out = tmp_path / "run"
+        flags = run_flags(command, synth_manifest)
+        out.mkdir()  # an empty directory is taken as it is
+        assert run(command, *flags, "--seed", "1", "--out", str(out)) == 0
+        first = sorted(p.name for p in out.iterdir())
+        assert run(command, *flags, "--seed", "2", "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "run"]
 
     @pytest.mark.parametrize("flags, doc", FAIL_CLOSED_PROBES.values(), ids=list(FAIL_CLOSED_PROBES))
     def test_bad_settings_fail_closed(self, synth_manifest, tmp_path, capsys, flags, doc):

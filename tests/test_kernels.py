@@ -15,6 +15,7 @@ moved.
 import copy
 import math
 import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from trifuse import data, fusion, models, ops, train
 from trifuse import tensor as tc
 from trifuse.autodiff import needs_grad, value_of
 from trifuse.fusion import MATERIALIZE_LIMIT, FusionSpec, FusionSpecError, MaterializeError
-from trifuse.train import AdamState, adam_step
+from trifuse.data import _all_finite
+from trifuse.train import ADAM_CHUNK, AdamState, adam_step
 
 RTOL = 1e-12
 
@@ -702,7 +704,29 @@ class TestConvBnRelu:
 
 
 # ---------------------------------------------------------------------------
-# Adam
+# Adam, over one flat arena per training run. The per-dict formulas it replaced
+# are copied here: adam_reference (whole arrays, temporaries), old_adam_step
+# (whole arrays through scratch rows), and dict_adam_step with dict_train_steps
+# (the per-array chunked step and the epoch loop that called it, verbatim).
+# They keep their moments per parameter name in DictAdamState.
+
+@dataclass
+class DictAdamState:
+    lr: float = 0.001
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    step: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+    # two work rows of ADAM_CHUNK entries, reused by every update
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, train.ADAM_CHUNK)), init=False, repr=False,
+                                compare=False)
+
+    @classmethod
+    def for_config(cls, config: train.TrainConfig) -> "DictAdamState":
+        return cls(lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+
 
 def adam_reference(params, grads, state):
     state.step += 1
@@ -760,78 +784,235 @@ def old_adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], s
     return state
 
 
+def dict_adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState) -> AdamState:
+    """One bias-corrected Adam update, in place on the parameter arrays, which
+    must be C-contiguous: each is updated through a flat view of itself."""
+    state.step += 1
+    t = state.step
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p)
+        if not _all_finite(g):
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r} at step {t}")
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        arrays = (p, state.m[name], state.v[name])
+        if not all(arr.flags.c_contiguous for arr in arrays):
+            raise ValueError(f"parameter {name!r} is not C-contiguous; its update would land in a copy")
+        # reshape of a C-contiguous array is a view
+        flat_p, flat_m, flat_v = (arr.reshape(-1) for arr in arrays)
+        flat_g = g.reshape(-1)
+        for s in range(0, p.size, ADAM_CHUNK):
+            p1, g1, m, v = (arr[s:s + ADAM_CHUNK] for arr in (flat_p, flat_g, flat_m, flat_v))
+            a, b = state.scratch[0, :p1.size], state.scratch[1, :p1.size]
+            # p -= lr * m_hat / (sqrt(v_hat) + eps), one ufunc at a time through the scratch rows
+            m *= state.beta1
+            m += np.multiply(g1, 1.0 - state.beta1, out=a)
+            v *= state.beta2
+            np.multiply(g1, 1.0 - state.beta2, out=a)
+            v += np.multiply(a, g1, out=a)
+            np.divide(m, 1.0 - state.beta1**t, out=a)
+            a *= state.lr
+            np.divide(v, 1.0 - state.beta2**t, out=b)
+            np.sqrt(b, out=b)
+            b += state.eps
+            p1 -= np.divide(a, b, out=a)
+    return state
+
+
+def dict_train_steps(model, dataset, train_idx, config) -> list[float]:
+    """The epoch loop around dict_adam_step, without its finiteness checks and
+    evaluation: the losses it returns and the model it updates are the pins."""
+    rng = np.random.default_rng(config.seed)
+    adam = DictAdamState.for_config(config)
+    losses = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(train_idx) if config.shuffle else train_idx
+        epoch_loss = 0.0
+        for sl in train._batch_plan(len(order), config.batch_size):
+            batch = order[sl]
+            tape = ad.Tape()
+            pvars = {k: tape.variable(v, requires_grad=True) for k, v in model.params.items()}
+            logits = model.forward(train._model_inputs(model, dataset, batch), pvars)
+            loss = ops.softmax_crossentropy(logits, dataset.labels[batch])
+            lval = float(loss.value)
+            ad.backward(tape, loss)
+            grads = {k: ad.grad_of(v) for k, v in pvars.items()}
+            tape.nodes.clear()
+            dict_adam_step(model.params, grads, adam)
+            epoch_loss += lval * len(batch)
+        losses.append(epoch_loss / len(order))
+    return losses
+
+
+def flatten(params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A copy of the arrays laid end to end, in order, and named views of it:
+    the layout _train gives the parameters."""
+    flat = np.concatenate([np.ravel(p) for p in params.values()])
+    return flat, train._views(flat, {k: np.asarray(p) for k, p in params.items()})
+
+
+def dense_grads(grads: dict[str, np.ndarray], params: dict[str, np.ndarray]) -> np.ndarray:
+    """A flat gradient for ``params`` from a dict that may leave some out (read as zeros)."""
+    return flatten({k: grads.get(k, np.zeros_like(p)) for k, p in params.items()})[0]
+
+
 PF3_FULL = {"type": "fused", "profile": "full",
             "fusion": {"kind": "PF", "order": 3, "rank": 16, "symmetric": True, "output_dim": 128}}
+TF_DESK = {"type": "fused", "profile": "desk", "fusion": {"kind": "TF", "rank": 16, "output_dim": 16}}
 
 
 class TestAdam:
     def test_bit_identical_over_steps(self):
         rng = np.random.default_rng(5)
         shapes = {"conv.w": (6, 3, 5), "bias": (6,), "scalar": (), "head.w": (4, 2), "frozen": (3,)}
-        params = {k: rng.normal(size=s) for k, s in shapes.items()}
-        ref_params = {k: v.copy() for k, v in params.items()}
-        state, ref_state = AdamState(lr=0.01), AdamState(lr=0.01)
+        ref_params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        flat, named = flatten(ref_params)
+        state, ref_state = AdamState(lr=0.01), DictAdamState(lr=0.01)
         for _ in range(5):
             grads = {k: rng.normal(size=s) for k, s in shapes.items() if k != "frozen"}
-            adam_step(params, grads, state)
+            adam_step(flat, dense_grads(grads, ref_params), state, named)
             adam_reference(ref_params, grads, ref_state)
         assert state.step == ref_state.step == 5
-        for k in shapes:
-            assert np.array_equal(params[k], ref_params[k]), k
-            assert np.array_equal(state.m[k], ref_state.m[k]), k
-            assert np.array_equal(state.v[k], ref_state.v[k]), k
+        for name, ref in (("params", ref_params), ("m", ref_state.m), ("v", ref_state.v)):
+            got = {"params": flat, "m": state.m, "v": state.v}[name]
+            assert np.array_equal(got, flatten(ref)[0]), name
 
     def test_non_finite_gradient_raises(self):
-        params = {"a": np.ones(4), "b": np.ones(2)}
+        flat, named = flatten({"a": np.ones(4), "b": np.ones(2)})
         with pytest.raises(FloatingPointError, match="'b'"):
-            adam_step(params, {"a": np.ones(4), "b": np.array([1.0, np.inf])}, AdamState())
+            adam_step(flat, np.array([1.0, 1.0, 1.0, 1.0, 1.0, np.inf]), AdamState(), named)
 
     def test_chunked_bit_identical_to_whole_array_update_on_full_model(self):
         # 1,429,534 entries in 76 arrays, the largest far over one chunk
-        params = models.build_from_spec(PF3_FULL, seed=3).params
-        ref_params = {k: v.copy() for k, v in params.items()}
-        assert max(p.size for p in params.values()) > 4 * train.ADAM_CHUNK
+        ref_params = models.build_from_spec(PF3_FULL, seed=3).params
+        flat, named = flatten(ref_params)
+        assert max(p.size for p in named.values()) > 4 * train.ADAM_CHUNK
         rng = np.random.default_rng(6)
-        state, ref_state = AdamState(lr=0.01), AdamState(lr=0.01)
+        state, ref_state = AdamState(lr=0.01), DictAdamState(lr=0.01)
         for _ in range(5):
-            grads = {k: rng.normal(size=p.shape) for k, p in params.items() if k != "eeg.bn2.beta"}
-            adam_step(params, grads, state)
+            grads = {k: rng.normal(size=p.shape) for k, p in ref_params.items() if k != "eeg.bn2.beta"}
+            adam_step(flat, dense_grads(grads, ref_params), state, named)
             old_adam_step(ref_params, grads, ref_state)
-        for k in params:
-            assert np.array_equal(params[k], ref_params[k]), k
-            assert np.array_equal(state.m[k], ref_state.m[k]), k
-            assert np.array_equal(state.v[k], ref_state.v[k]), k
+        assert np.array_equal(flat, flatten(ref_params)[0])
+        assert np.array_equal(state.m, flatten(ref_state.m)[0])
+        assert np.array_equal(state.v, flatten(ref_state.v)[0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_in_a_later_chunk_raises(self, bad):
         size = 3 * train.ADAM_CHUNK + 5
-        params = {"a": np.ones(4), "big": np.ones(size)}
-        g = np.ones(size)
+        flat, named = flatten({"a": np.ones(4), "big": np.ones(size)})
+        g = np.ones(flat.size)
         g[-2] = bad
-        before = params["big"].copy()
+        before = flat.copy()
         with pytest.raises(FloatingPointError, match="'big'"):
-            adam_step(params, {"a": np.ones(4), "big": g}, AdamState())
-        assert np.array_equal(params["big"], before)
+            adam_step(flat, g, AdamState(), named)
+        assert np.array_equal(flat, before)
 
     def test_finite_gradient_whose_sum_overflows_is_accepted(self):
-        params = {"a": np.ones(4)}
+        flat, named = flatten({"a": np.ones(4)})
         g = np.full(4, 1e308)
         with np.errstate(over="ignore"):
             assert not np.isfinite(g.sum())
-            state = adam_step(params, {"a": g}, AdamState())
-        assert state.step == 1 and np.all(np.isfinite(params["a"]))
+            state = adam_step(flat, g, AdamState(), named)
+        assert state.step == 1 and np.all(np.isfinite(flat))
 
-    def test_non_contiguous_parameter_is_refused(self):
-        # the update goes through a flat view; a reshape copy would drop it silently
-        params = {"w": np.ones((4, 3)).T}
-        with pytest.raises(ValueError):
-            adam_step(params, {"w": np.ones((3, 4))}, AdamState())
+    @pytest.mark.parametrize("params, grads, named", [
+        (np.ones(4), np.ones(4), {"a": np.ones(3)}),
+        (np.ones(4), np.ones(3), {"a": np.ones(4)}),
+        (np.ones((2, 2)), np.ones((2, 2)), {"a": np.ones(4)}),
+    ], ids=["named-short", "grads-short", "not-flat"])
+    def test_mismatched_layout_is_refused(self, params, grads, named):
+        before = params.copy()
+        with pytest.raises(ValueError, match="flat parameters"):
+            adam_step(params, grads, AdamState(), named)
+        assert np.array_equal(params, before)
+
+    def test_fortran_ordered_parameter_trains_like_c_ordered(self):
+        # the arena copies each parameter in C order, so memory layout cannot reach the update
+        ds = data.synth_dataset(data.SynthSpec("additive", n_trials=8, noise=0.1), seed=1)
+        config = train.TrainConfig(epochs=2, batch_size=4)
+        c_model, f_model = (models.build_from_spec(TF_DESK, seed=2) for _ in range(2))
+        f_model.params = {k: np.asfortranarray(v) for k, v in f_model.params.items()}
+        assert not f_model.params["eeg.conv0.w"].flags.c_contiguous
+        split = (np.arange(len(ds)), np.arange(0))
+        reports = [train.train(m, ds, split, config) for m in (c_model, f_model)]
+        assert reports[0].losses == reports[1].losses
+        for k, p in c_model.params.items():
+            assert p.tobytes() == f_model.params[k].tobytes(), k
 
     def test_built_and_loaded_parameters_are_c_contiguous(self, tmp_path):
         model = models.build_from_spec(PF3_FULL, seed=0)
         models.save_model(model, tmp_path / "ckpt")
         for params in (model.params, models.load_model(tmp_path / "ckpt").params):
             assert all(p.flags.c_contiguous for p in params.values())
+
+
+class TestArenaTrainingLoop:
+    """train.train against dict_train_steps: two steps, byte for byte."""
+
+    @pytest.mark.parametrize("spec, batch", [(TF_DESK, 8), (PF3_FULL, 16)], ids=["desk-tf", "full-pf3"])
+    def test_two_steps_match_the_per_dict_loop(self, spec, batch):
+        ds = data.synth_dataset(data.SynthSpec("interaction", n_trials=2 * batch, noise=0.1), seed=4)
+        config = train.TrainConfig(epochs=1, batch_size=batch, seed=7)
+        train_idx = np.arange(len(ds))
+        assert len(train._batch_plan(len(train_idx), batch)) == 2
+        model, ref = (models.build_from_spec(spec, seed=5) for _ in range(2))
+        report = train.train(model, ds, (train_idx, np.arange(0)), config)
+        assert report.losses == dict_train_steps(ref, ds, train_idx, config)
+        assert list(model.params) == list(ref.params)
+        for k, p in model.params.items():
+            assert p.tobytes() == ref.params[k].tobytes(), k
+        for k, st in model.state.items():
+            assert st.running_mean.tobytes() == ref.state[k].running_mean.tobytes(), k
+            assert st.running_var.tobytes() == ref.state[k].running_var.tobytes(), k
+
+    def test_every_gradient_entry_is_written_each_step(self, monkeypatch):
+        # the flat gradient is made uninitialized: poison it, and a skipped entry (say, a conv
+        # bias, which no gradient reaches) would reach Adam as NaN instead of zero
+        real_empty_like = np.empty_like
+        monkeypatch.setattr(train.np, "empty_like", lambda a, *args, **kw: real_empty_like(a, *args, **kw) * np.nan)
+        ds = data.synth_dataset(data.SynthSpec("additive", n_trials=12, noise=0.1), seed=2)
+        model = models.build_from_spec(TF_DESK, seed=6)
+        biases = {k: p.copy() for k, p in model.params.items() if ".conv" in k and k.endswith(".b")}
+        train.train(model, ds, (np.arange(len(ds)), np.arange(0)), train.TrainConfig(epochs=2, batch_size=4))
+        assert len(biases) == 18
+        for k, b in biases.items():  # zero gradient, zero moments: Adam leaves them exactly
+            assert np.array_equal(model.params[k], b), k
+
+    @staticmethod
+    def _stepped_arena():
+        """A full PF3 arena after one Adam step, so that m and v are not zero."""
+        flat, named = flatten(models.build_from_spec(PF3_FULL, seed=1).params)
+        state = adam_step(flat, np.random.default_rng(2).normal(size=flat.size), AdamState(), named)
+        return flat, named, state, np.cumsum([p.size for p in named.values()])
+
+    def test_non_finite_entry_in_a_middle_parameter(self):
+        flat, named, state, ends = self._stepped_arena()
+        i = len(named) // 2
+        name = list(named)[i]
+        self._assert_refused(flat, named, state, int(ends[i]) - named[name].size // 2 - 1, name)
+
+    @pytest.mark.parametrize("side", [-1, 0], ids=["before-boundary", "after-boundary"])
+    def test_non_finite_entry_in_a_chunk_straddling_two_parameters(self, side):
+        flat, named, state, ends = self._stepped_arena()
+        # a boundary between two parameters inside one chunk, away from the chunk's ends
+        i = next(i for i, e in enumerate(ends[:-1]) if 2 <= e % train.ADAM_CHUNK <= train.ADAM_CHUNK - 2)
+        bad = int(ends[i]) + side
+        self._assert_refused(flat, named, state, bad, list(named)[i + 1 + side])
+
+    @staticmethod
+    def _assert_refused(flat, named, state, bad, name):
+        g = np.random.default_rng(3).normal(size=flat.size)
+        g[bad] = np.nan
+        before = [a.copy() for a in (flat, state.m, state.v)]
+        with pytest.raises(FloatingPointError, match=f"parameter {name!r} at step 2"):
+            adam_step(flat, g, state, named)
+        assert state.step == 1
+        for got, want in zip((flat, state.m, state.v), before):
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

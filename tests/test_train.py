@@ -32,45 +32,45 @@ PF3_DESK = {"type": "fused", "profile": "desk",
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
-        w = {"w": np.array([1.0, -2.0])}
+        w = np.array([1.0, -2.0])
         st = AdamState()
         for _ in range(10):
-            adam_step(w, {"w": np.zeros(2)}, st)
-        assert np.array_equal(w["w"], [1.0, -2.0])
+            adam_step(w, np.zeros(2), st, {"w": w})
+        assert np.array_equal(w, [1.0, -2.0])
         assert st.step == 10
 
     def test_constant_gradient_steady_state(self):
         # after enough steps the update magnitude approaches lr * sign(g)
-        w = {"w": np.zeros(2)}
+        w = np.zeros(2)
         st = AdamState(lr=0.001)
-        g = {"w": np.array([0.37, -4.2])}
+        g = np.array([0.37, -4.2])
         for _ in range(499):
-            adam_step(w, g, st)
-        before = w["w"].copy()
-        adam_step(w, g, st)
-        assert np.allclose(w["w"] - before, -0.001 * np.sign(g["w"]), rtol=1e-6)
+            adam_step(w, g, st, {"w": w})
+        before = w.copy()
+        adam_step(w, g, st, {"w": w})
+        assert np.allclose(w - before, -0.001 * np.sign(g), rtol=1e-6)
 
     def test_quadratic_bowl_converges(self):
         target = np.array([0.3, -0.2, 0.5])
-        w = {"w": np.zeros(3)}
+        w = np.zeros(3)
         st = AdamState(lr=0.001)
         for _ in range(2000):
-            adam_step(w, {"w": 2.0 * (w["w"] - target)}, st)
-        assert np.max(np.abs(w["w"] - target)) < 1e-3
+            adam_step(w, 2.0 * (w - target), st, {"w": w})
+        assert np.max(np.abs(w - target)) < 1e-3
 
     def test_lr_zero_freezes_parameters(self):
         rng = np.random.default_rng(0)
-        w = {"w": rng.normal(size=4)}
-        snapshot = w["w"].copy()
+        w = rng.normal(size=4)
+        snapshot = w.copy()
         st = AdamState(lr=0.0)
         for _ in range(25):
-            adam_step(w, {"w": rng.normal(size=4)}, st)
-        assert np.array_equal(w["w"], snapshot)
+            adam_step(w, rng.normal(size=4), st, {"w": w})
+        assert np.array_equal(w, snapshot)
 
     def test_non_finite_gradient_names_parameter(self):
-        w = {"conv.w": np.zeros(2)}
+        w = np.zeros(3)
         with pytest.raises(FloatingPointError, match="conv.w"):
-            adam_step(w, {"conv.w": np.array([np.nan, 0.0])}, AdamState())
+            adam_step(w, np.array([0.0, np.nan, 0.0]), AdamState(), {"head.b": w[:1], "conv.w": w[1:]})
 
 
 class TestTrainLoop:
@@ -97,6 +97,35 @@ class TestTrainLoop:
         idx = np.arange(len(ds))
         with pytest.raises(train.TrainingDiverged, match="parameter"):
             train.train(model, ds, (idx[:12], idx[12:]), TrainConfig(epochs=1, batch_size=16, lr=float("nan")))
+
+    def test_end_check_names_the_first_non_finite_parameter(self, monkeypatch):
+        # Adam's last step leaves two parameters non-finite; the report names the first
+        ds = small_dataset()
+        model = models.build_from_spec(OXY_SPEC, seed=0)
+        names = list(model.params)
+        real_step = train.adam_step
+
+        def step_then_overflow(params, grads, state, named):
+            real_step(params, grads, state, named)
+            model.params[names[3]].flat[-1] = -np.inf
+            model.params[names[5]].flat[0] = np.nan
+
+        monkeypatch.setattr(train, "adam_step", step_then_overflow)
+        idx = np.arange(len(ds))
+        with pytest.raises(train.TrainingDiverged, match=rf"parameter {names[3]!r} became non-finite \(inf\)"):
+            train.train(model, ds, (idx[:12], idx[12:]), TrainConfig(epochs=1, batch_size=16))
+
+    @pytest.mark.parametrize("n, epochs, batch", [(12, 1, 16), (11, 3, 5), (16, 2, 4)])
+    def test_adam_step_is_called_once_per_step(self, monkeypatch, n, epochs, batch):
+        # benchmark op boundaries are the returns of train.adam_step, looked up by name
+        calls = []
+        real_step = train.adam_step
+        monkeypatch.setattr(train, "adam_step", lambda *args: calls.append(1) or real_step(*args))
+        ds = small_dataset(n_trials=n + 4)
+        idx = np.arange(len(ds))
+        train.train(models.build_from_spec(OXY_SPEC, seed=0), ds, (idx[:n], idx[n:]),
+                    TrainConfig(epochs=epochs, batch_size=batch))
+        assert len(calls) == epochs * len(train._batch_plan(n, batch))
 
     def test_singleton_batch_merged(self):
         # 9 train samples at batch 4 would leave a trailing batch of 1
