@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import load_tensor, save_tensor
+from .tensor import file_problem, load_tensor, save_tensor
 
 EEG_SR = 200
 NIRS_SR = 10
@@ -71,7 +71,9 @@ class TrialRecording:
 
 @dataclass
 class SegmentDataset:
-    """Column-wise store of segments; immutable after construction."""
+    """Column-wise store of segments; immutable after construction. Loaded
+    from a segments manifest, its modality columns are read-only maps of the
+    manifest's files, and a gather such as ``eeg[idx]`` is a fresh copy."""
 
     eeg: np.ndarray  # [n, 30, 600]
     oxy: np.ndarray  # [n, 36, 30]
@@ -376,17 +378,17 @@ def _all_finite(arr: np.ndarray) -> bool:
         return bool(np.isfinite(arr.sum()) or np.isfinite(arr).all())
 
 
-def _load_entry_tensor(base: str, entry: dict, key: str, problems: list[str], label: str):
+def _load_entry_tensor(base: str, entry: dict, key: str, problems: list[str], label: str, mapped: bool):
     rel = entry.get(key)
     if not isinstance(rel, str):
         problems.append(f"{label}: missing {key!r} file reference")
         return None
     path = os.path.join(base, rel)
-    if not os.path.exists(path):
-        problems.append(f"{label}: file {rel} does not exist")
+    if (why := file_problem(path)) is not None:
+        problems.append(f"{label}: file {rel} {why}")
         return None
     try:
-        arr = load_tensor(path)
+        arr = load_tensor(path, mapped=mapped)
     except Exception as exc:
         problems.append(f"{label}: file {rel} unreadable ({exc})")
         return None
@@ -398,12 +400,10 @@ def _load_entry_tensor(base: str, entry: dict, key: str, problems: list[str], la
 
 def load_manifest(path) -> SegmentDataset:
     """Load a trials or segments manifest; raises with every violation listed."""
-    if not os.path.exists(path):
-        raise ManifestError([f"manifest {path} does not exist"])
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
-        if not os.path.exists(path):
-            raise ManifestError([f"manifest {path} does not exist"])
+    if (why := file_problem(path)) is not None:
+        raise ManifestError([f"manifest {path} {why}"])
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -449,7 +449,10 @@ def _field(doc: dict, key: str, kind: type, problems: list[str]):
 def _load_segments(base: str, doc: dict) -> SegmentDataset:
     problems: list[str] = []
     refs = _field(doc, "arrays", dict, problems)
-    arrays = {name: _load_entry_tensor(base, refs, name, problems, "arrays") for name in ("eeg", "oxy", "deoxy")}
+    # mapped, not read: _all_finite is then the one pass over each payload, and the
+    # columns are read-only views of the files
+    arrays = {name: _load_entry_tensor(base, refs, name, problems, "arrays", mapped=True)
+              for name in ("eeg", "oxy", "deoxy")}
     metas = _field(doc, "segments", list, problems)
     n = len(metas)
     for name, arr in arrays.items():
@@ -483,7 +486,9 @@ def _load_trials(base: str, doc: dict) -> SegmentDataset:
         task = entry.get("task")
         if task not in TASKS:
             problems.append(f"{label_tag}: task must be one of {TASKS}, got {task!r}")
-        eeg, oxy, deoxy = (_load_entry_tensor(base, entry, key, problems, label_tag)
+        # read, not mapped: a mapping holds a descriptor, and every trial's three
+        # stay loaded until segment_trials copies their windows out
+        eeg, oxy, deoxy = (_load_entry_tensor(base, entry, key, problems, label_tag, mapped=False)
                            for key in ("eeg", "oxy", "deoxy"))
         if eeg is None or oxy is None or deoxy is None:
             continue

@@ -32,7 +32,7 @@ from .autodiff import value_of
 from .fusion import MATERIALIZE_LIMIT, FusionSpec, FusionSpecError, MaterializeError, fuse, init_fusion_params
 from .fusion import param_count as fusion_param_count, param_shapes as fusion_param_shapes
 from .ops import BatchNormState, conv_out_length
-from .tensor import ShapeError, load_tensor, save_tensor
+from .tensor import ShapeError, file_problem, load_tensor, save_tensor
 
 MODALITIES = ("eeg", "oxy", "deoxy")
 N_CLASSES = 2
@@ -338,12 +338,22 @@ def _plan_ok(plan) -> bool:
                     and all(type(b[k]) is int and b[k] >= (k != "padding") for k in BLOCK_KEYS) for b in blocks))
 
 
+def _checkpoint_file(indir, rel: str) -> str:
+    """The path of a checkpoint's file ``rel``; ``ModelError`` when it is
+    missing or not a regular file (a FIFO would block the open)."""
+    path = os.path.join(indir, rel)
+    if (why := file_problem(path)) is not None:
+        raise ModelError(f"checkpoint file {rel} {why}")
+    return path
+
+
 def _read_checkpoint(indir) -> dict:
     """A checkpoint's ``topology.json``, checked to have the form ``save_model``
     writes: its topology must be the one ``topology`` derives from the spec and
     extractor plans it records. ``ModelError`` says what is malformed."""
+    path = _checkpoint_file(indir, "topology.json")
     try:
-        with open(os.path.join(indir, "topology.json")) as fh:
+        with open(path) as fh:
             doc = json.load(fh)
     except ValueError as exc:
         raise ModelError(f"checkpoint topology.json is not JSON ({exc})") from None
@@ -382,8 +392,8 @@ def checkpoint_digest_problems(indir) -> list[str]:
     problems = []
     for name in doc["params"]:
         path = os.path.join(indir, "params", name + ".ten")
-        if not os.path.exists(path):
-            problems.append(f"{name}: parameter file missing")
+        if (why := file_problem(path)) is not None:
+            problems.append(f"{name}: parameter file {why}")
         elif doc["digests"].get(name) != _digest(path):
             problems.append(f"{name}: digest mismatch (file corrupted or replaced)")
     return problems
@@ -391,7 +401,7 @@ def checkpoint_digest_problems(indir) -> list[str]:
 
 def _load_checked(indir, rel: str, want: tuple) -> np.ndarray:
     try:
-        arr = load_tensor(os.path.join(indir, rel))
+        arr = load_tensor(_checkpoint_file(indir, rel))
     except ShapeError as exc:
         raise ModelError(f"checkpoint file {rel} unreadable ({exc})") from None
     if arr.shape != want:

@@ -10,7 +10,9 @@ array of shape ``()``.
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import stat
 import struct
 from typing import Sequence
 
@@ -63,16 +65,42 @@ def contract(a: np.ndarray, b: np.ndarray, axes_a: Sequence[int], axes_b: Sequen
 
 def save_tensor(path, t: np.ndarray) -> None:
     """Write order (u32), each dim (u64), then the f64 payload, little-endian;
-    the payload straight from the array, which a C-ordered ``<f8`` input is."""
+    the payload straight from the array, which a C-ordered ``<f8`` input is.
+
+    The file is written beside ``path`` and then renamed over it, so a reader
+    that maps the old file (``load_tensor(path, mapped=True)``) keeps the old
+    payload, and a failed write leaves the old file as it was."""
     t = as_tensor(t)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(f"<I{t.ndim}Q", t.ndim, *t.shape))
-        np.ascontiguousarray(t, dtype="<f8").tofile(fh)  # 1-d for a 0-d t: the header above is t's
+    tmp = f"{os.fspath(path)}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack(f"<I{t.ndim}Q", t.ndim, *t.shape))
+            np.ascontiguousarray(t, dtype="<f8").tofile(fh)  # 1-d for a 0-d t: the header above is t's
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
-def load_tensor(path) -> np.ndarray:
+def file_problem(path) -> str | None:
+    """Why ``path`` cannot be read as a data file: it ``"does not exist"`` or
+    ``"is not a regular file"``; None when it can. Checked before opening, since
+    opening a FIFO for reading blocks until some writer opens it."""
+    if not os.path.exists(path):
+        return "does not exist"
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return "is not a regular file"
+    return None
+
+
+def load_tensor(path, mapped: bool = False) -> np.ndarray:
     """Inverse of :func:`save_tensor`. The header is checked against the file
-    size first, then the payload is read once, straight into the returned array."""
+    size first, then the payload is read once, straight into the returned array.
+
+    With ``mapped`` the payload is not read: the array is a read-only view of
+    the file's pages from byte ``4 + 8*order``, so never 8-byte aligned. It holds a duplicate of the file's descriptor until the
+    array is freed, and the file must not be rewritten in place meanwhile."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < 4:
@@ -86,4 +114,9 @@ def load_tensor(path) -> np.ndarray:
         expected = offset + 8 * count
         if size != expected:
             raise ShapeError(f"tensor payload has {size} bytes, expected {expected} for shape {shape}")
-        return np.fromfile(fh, dtype="<f8", count=count).astype(np.float64, copy=False).reshape(shape)
+        if mapped:
+            payload = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ),
+                                    dtype="<f8", count=count, offset=offset)
+        else:
+            payload = np.fromfile(fh, dtype="<f8", count=count)
+        return payload.astype(np.float64, copy=False).reshape(shape)

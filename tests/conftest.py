@@ -1,0 +1,20 @@
+"""Shared fixtures."""
+
+import signal
+
+import pytest
+
+
+@pytest.fixture
+def fails_before_hanging():
+    """Turn a call that blocks for 10 s into a TimeoutError, so a test of a
+    FIFO in place of a data file fails instead of waiting for a writer."""
+
+    def expire(signum, frame):
+        raise TimeoutError("blocked for 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -197,6 +197,16 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert "unknown label 7" in err and "missing.ten does not exist" in err
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_fifo_payload_is_one_line_and_exit_3(self, synth_manifest, tmp_path, capsys, fails_before_hanging):
+        fifo = synth_manifest.parent / "oxy.ten"
+        os.remove(fifo)
+        os.mkfifo(fifo)
+        assert run("train", "--data", str(synth_manifest), *DESK_PF,
+                   "--epochs", "1", "--k", "4", "--out", str(tmp_path / "run")) == 3
+        err = capsys.readouterr().err
+        assert err == "error: manifest validation failed: arrays: file oxy.ten is not a regular file\n"
+
     def test_failed_swap_keeps_previous_artifacts(self, synth_manifest, tmp_path, monkeypatch, capsys):
         out = tmp_path / "run"
         args = ["train", "--data", str(synth_manifest), *DESK_PF, "--epochs", "1", "--k", "4",

@@ -1,7 +1,9 @@
 """Windowing, synthetic generators, fold plans and manifest validation."""
 
 import copy
+import gc
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,6 +387,95 @@ class TestManifests:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(data.ManifestError, match="does not exist"):
             data.load_manifest(tmp_path / "nope")
+
+
+def _fd_count() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestMappedSegments:
+    """A segments manifest's payloads are mapped: read-only columns, each one
+    descriptor held until the dataset is freed."""
+
+    def test_columns_are_read_only_and_gathers_fresh_copies(self, tmp_path):
+        ds = data.synth_dataset(data.SynthSpec("additive", n_trials=6), seed=6)
+        data.save_segments_manifest(ds, tmp_path)
+        back = data.load_manifest(tmp_path)
+        for name in ("eeg", "oxy", "deoxy"):
+            col = back.modality(name)
+            assert not col.flags["WRITEABLE"]
+            with pytest.raises(ValueError):
+                col[0, 0, 0] = 1.0
+            batch = col[np.array([4, 1, 2])]
+            assert batch.flags["WRITEABLE"] and batch.flags["ALIGNED"] and batch.flags["C_CONTIGUOUS"]
+            assert batch.tobytes() == ds.modality(name)[[4, 1, 2]].tobytes()
+
+    def test_resaving_a_loaded_set_over_itself_changes_no_byte(self, tmp_path):
+        data.save_segments_manifest(data.synth_dataset(data.SynthSpec("additive", n_trials=6), seed=6), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        data.save_segments_manifest(data.load_manifest(tmp_path), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert not [p for p in os.listdir(tmp_path) if ".tmp-" in p]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd (Linux)")
+    def test_a_loaded_set_holds_three_descriptors_until_freed(self, tmp_path):
+        data.save_segments_manifest(data.synth_dataset(data.SynthSpec("additive", n_trials=6), seed=6), tmp_path)
+        gc.collect()
+        before = _fd_count()
+        ds = data.load_manifest(tmp_path)
+        assert _fd_count() == before + 3
+        del ds
+        gc.collect()
+        assert _fd_count() == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd (Linux)")
+    def test_a_loaded_trials_set_holds_no_descriptor(self, tmp_path, monkeypatch):
+        # trial payloads are read: when segment_trials runs, every trial is loaded at
+        # once, and a mapping per file would hold a descriptor per file
+        data.save_trials_manifest([make_trial(trial_id=i, label=i % 2, seed=i) for i in range(2)], tmp_path)
+        held = []
+        segment_trials = data.segment_trials
+        monkeypatch.setattr(data, "segment_trials", lambda recs: held.append(_fd_count()) or segment_trials(recs))
+        gc.collect()
+        before = _fd_count()
+        ds = data.load_manifest(tmp_path)
+        assert held == [before] and _fd_count() == before and ds.eeg.flags["WRITEABLE"]
+
+
+def _fifo_in_place_of(path) -> None:
+    os.remove(path)
+    os.mkfifo(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+class TestNonRegularFiles:
+    """A FIFO would block the open until some writer appears: it is refused
+    as one problem before anything opens it."""
+
+    @pytest.mark.parametrize("name", ["manifest.json", "oxy.ten"])
+    def test_fifo_in_a_segments_manifest(self, tmp_path, fails_before_hanging, name):
+        data.save_segments_manifest(data.synth_dataset(data.SynthSpec("additive", n_trials=4), seed=7), tmp_path)
+        _fifo_in_place_of(tmp_path / name)
+        with pytest.raises(data.ManifestError) as err:
+            data.load_manifest(tmp_path)
+        want = {"manifest.json": f"manifest {tmp_path / name} is not a regular file",
+                "oxy.ten": "arrays: file oxy.ten is not a regular file"}[name]
+        assert err.value.problems == [want]
+
+    def test_fifo_in_a_trials_manifest(self, tmp_path, fails_before_hanging):
+        data.save_trials_manifest([make_trial(trial_id=i, label=i % 2, seed=i) for i in range(2)], tmp_path)
+        _fifo_in_place_of(tmp_path / "trial0001_deoxy.ten")
+        with pytest.raises(data.ManifestError) as err:
+            data.load_manifest(tmp_path)
+        assert err.value.problems == ["trial entry 1: file trial0001_deoxy.ten is not a regular file"]
+
+    def test_directory_in_place_of_a_payload(self, tmp_path):
+        data.save_segments_manifest(data.synth_dataset(data.SynthSpec("additive", n_trials=4), seed=7), tmp_path)
+        os.remove(tmp_path / "eeg.ten")
+        os.mkdir(tmp_path / "eeg.ten")
+        with pytest.raises(data.ManifestError) as err:
+            data.load_manifest(tmp_path)
+        assert err.value.problems == ["arrays: file eeg.ten is not a regular file"]
 
 
 JSON = st.recursive(

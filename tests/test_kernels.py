@@ -5,7 +5,8 @@ reuses its centred input and takes a closed-form backward, Adam updates
 chunk by chunk through reused scratch rows, conv1d multiplies a
 time-innermost window matrix, each extractor block is one conv + batch norm
 + ReLU op, one ``fusion.fuse`` replaced the per-kind fusion forwards,
-``load_tensor`` reads a payload once instead of as bytes plus a copy, and
+``load_tensor`` reads a payload once instead of as bytes plus a copy (or
+maps it, with the same checks and errors), and
 ``models.build_from_spec`` draws every model by walking ``param_shapes``. Each is
 held here to the straightforward formula it replaced: bit-identical where the
 arithmetic is unchanged, within 1e-12 relative where only the summation order
@@ -1054,13 +1055,17 @@ def _outcome(load, path):
 
 
 def _check_same_outcome(path):
-    new, old = _outcome(tc.load_tensor, path), _outcome(old_load_tensor, path)
-    if isinstance(old, str):
-        assert new == old
-        return
-    assert isinstance(new, np.ndarray) and new.dtype == np.float64
-    assert new.shape == old.shape and np.array_equal(new, old, equal_nan=True)
-    assert new.flags["C_CONTIGUOUS"] and new.flags["WRITEABLE"]
+    """``load_tensor``, read and mapped, gives the old loader's array or its
+    error; the mapped array is the read-only one."""
+    old = _outcome(old_load_tensor, path)
+    for mapped in (False, True):
+        new = _outcome(lambda p: tc.load_tensor(p, mapped=mapped), path)
+        if isinstance(old, str):
+            assert new == old
+            continue
+        assert isinstance(new, np.ndarray) and new.dtype == np.float64
+        assert new.shape == old.shape and np.array_equal(new, old, equal_nan=True)
+        assert new.flags["C_CONTIGUOUS"] and new.flags["WRITEABLE"] != mapped
 
 
 def _header(*dims):
@@ -1092,8 +1097,9 @@ class TestLoadTensor:
     def test_bad_files_same_error(self, tmp_path, raw):
         path = tmp_path / "t.ten"
         path.write_bytes(raw)
-        with pytest.raises(tc.ShapeError):
-            tc.load_tensor(path)
+        for mapped in (False, True):
+            with pytest.raises(tc.ShapeError):
+                tc.load_tensor(path, mapped=mapped)
         _check_same_outcome(path)
 
     @settings(max_examples=200, deadline=None)

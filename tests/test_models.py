@@ -1,6 +1,7 @@
 """Extractor geometry, classifier assembly, checkpoints."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -335,6 +336,23 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(models.ModelError, match="head2.w.ten unreadable"):
             models.load_model(tmp_path / "ckpt")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("rel", ["topology.json", "params/head2.w.ten", "state/eeg.bn1.mean.ten"])
+    def test_fifo_in_a_checkpoint_is_refused(self, tmp_path, fails_before_hanging, rel):
+        # opening a FIFO blocks until a writer appears: it is refused unopened
+        models.save_model(models.build_from_spec(SHAPE_SPECS["single-eeg"]), tmp_path)
+        os.remove(tmp_path / rel)
+        os.mkfifo(tmp_path / rel)
+        with pytest.raises(models.ModelError, match=f"^checkpoint file {rel} is not a regular file$"):
+            models.load_model(tmp_path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_fifo_is_one_digest_problem(self, tmp_path, fails_before_hanging):
+        models.save_model(models.build_from_spec(SHAPE_SPECS["single-eeg"]), tmp_path)
+        os.remove(tmp_path / "params" / "head2.w.ten")
+        os.mkfifo(tmp_path / "params" / "head2.w.ten")
+        assert models.checkpoint_digest_problems(tmp_path) == ["head2.w: parameter file is not a regular file"]
 
 
     def test_roundtrip_preserves_forward(self, tmp_path):

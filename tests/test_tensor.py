@@ -1,5 +1,6 @@
 """Contraction and binary serialization."""
 
+import os
 import struct
 
 import numpy as np
@@ -96,10 +97,11 @@ class TestLayoutAndSerialization:
         for shape in [(), (4,), (2, 3), (2, 3, 4, 5)]:
             t = rng.normal(size=shape)
             path = tmp_path / "t.ten"
-            tc.save_tensor(path, t)
-            back = tc.load_tensor(path)
-            assert back.shape == t.shape
-            assert back.tobytes() == t.tobytes()
+            tc.save_tensor(path, t)  # over the file the last round's mapped array still holds
+            for mapped in (False, True):
+                back = tc.load_tensor(path, mapped=mapped)
+                assert back.shape == t.shape
+                assert back.tobytes() == t.tobytes()
 
     def test_scalar_representable(self, tmp_path):
         t = tc.as_tensor(7.5)
@@ -107,24 +109,76 @@ class TestLayoutAndSerialization:
         path = tmp_path / "s.ten"
         tc.save_tensor(path, t)
         assert tc.load_tensor(path) == 7.5
+        assert tc.load_tensor(path, mapped=True) == 7.5
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "t.ten"
         tc.save_tensor(path, np.ones((2, 2)))
         raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(tc.ShapeError):
-            tc.load_tensor(path)
-        path.write_bytes(raw[:10])
-        with pytest.raises(tc.ShapeError):
-            tc.load_tensor(path)
+        for cut in (raw[:-8], raw[:10]):
+            path.write_bytes(cut)
+            for mapped in (False, True):
+                with pytest.raises(tc.ShapeError):
+                    tc.load_tensor(path, mapped=mapped)
 
     def test_overflowing_dims_fail_length_check(self, tmp_path):
         # 2**32 * 2**32 wraps to 0 in int64; the element count must not
         path = tmp_path / "t.ten"
         path.write_bytes(struct.pack("<I", 2) + struct.pack("<Q", 2**32) * 2)
-        with pytest.raises(tc.ShapeError, match="expected"):
-            tc.load_tensor(path)
+        for mapped in (False, True):
+            with pytest.raises(tc.ShapeError, match="expected"):
+                tc.load_tensor(path, mapped=mapped)
+
+    def test_mapped_array_is_a_read_only_view_of_the_file(self, tmp_path):
+        t = np.arange(24.0).reshape(2, 3, 4)
+        tc.save_tensor(tmp_path / "t.ten", t)
+        back = tc.load_tensor(tmp_path / "t.ten", mapped=True)
+        assert np.array_equal(back, t) and not back.flags["WRITEABLE"]
+        assert not back.flags["ALIGNED"]  # the payload starts at byte 4 + 8*3
+        with pytest.raises(ValueError):
+            back[0, 0, 0] = 1.0
+        gathered = back[np.array([1, 0])]
+        assert gathered.flags["WRITEABLE"] and gathered.flags["ALIGNED"] and gathered.flags["C_CONTIGUOUS"]
+
+
+class TestAtomicSave:
+    """save_tensor renames a finished sibling over its target, so a mapping of
+    the old file keeps its payload and a failed save keeps the old file."""
+
+    def test_saving_over_a_mapped_file_keeps_the_mapping(self, tmp_path):
+        path = tmp_path / "t.ten"
+        tc.save_tensor(path, np.arange(6.0))
+        mapped = tc.load_tensor(path, mapped=True)
+        tc.save_tensor(path, np.ones(3))
+        assert np.array_equal(mapped, np.arange(6.0))
+        assert np.array_equal(tc.load_tensor(path), np.ones(3))
+        assert os.listdir(tmp_path) == ["t.ten"]
+
+    def test_saving_a_mapped_array_over_its_own_file(self, tmp_path):
+        path = tmp_path / "t.ten"
+        tc.save_tensor(path, np.arange(60.0).reshape(3, 4, 5))
+        raw = path.read_bytes()
+        tc.save_tensor(path, tc.load_tensor(path, mapped=True))
+        assert path.read_bytes() == raw
+        assert os.listdir(tmp_path) == ["t.ten"]
+
+    @pytest.mark.parametrize("fail_at", ["write", "replace"])
+    def test_failed_save_keeps_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch, fail_at):
+        path = tmp_path / "t.ten"
+        tc.save_tensor(path, np.arange(6.0))
+        raw = path.read_bytes()
+
+        def refuse(*args, **kwargs):
+            raise OSError(f"{fail_at} refused")
+
+        if fail_at == "write":
+            monkeypatch.setattr(tc.np, "ascontiguousarray", refuse)  # after the header is written
+        else:
+            monkeypatch.setattr(tc.os, "replace", refuse)
+        with pytest.raises(OSError, match="refused"):
+            tc.save_tensor(path, np.ones(3))
+        assert path.read_bytes() == raw
+        assert os.listdir(tmp_path) == ["t.ten"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Adam behavior, training loop guarantees, cross-validation reports."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -228,6 +229,21 @@ class TestCrossValidation:
         parallel = train.cross_validate(OXY_SPEC, ds, k=3, config=cfg, jobs=2)
         assert json.dumps(serial.to_dict(), sort_keys=True) == \
             json.dumps(parallel.to_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mapped_dataset_gives_the_in_memory_report(self, tmp_path, jobs):
+        # a loaded segments set's columns map its files, unaligned and read-only;
+        # every batch gathered from them is a copy, so the report cannot change
+        data.save_segments_manifest(small_dataset(n_trials=12, segments_per_trial=2), tmp_path / "data")
+        mapped = data.load_manifest(tmp_path / "data")
+        assert not mapped.eeg.flags["WRITEABLE"] and not mapped.eeg.flags["ALIGNED"]
+        copied = dataclasses.replace(mapped, **{m: np.array(mapped.modality(m)) for m in ("eeg", "oxy", "deoxy")})
+        assert copied.eeg.flags["WRITEABLE"] and copied.eeg.flags["ALIGNED"]
+        cfg = TrainConfig(epochs=1, batch_size=8, seed=4)
+        for name, ds in (("mapped", mapped), ("copied", copied)):
+            report = train.cross_validate(PF3_DESK, ds, k=3, config=cfg, jobs=jobs)
+            train.write_report(report, tmp_path / f"{name}.json")
+        assert (tmp_path / "mapped.json").read_bytes() == (tmp_path / "copied.json").read_bytes()
 
     def test_pool_tasks_carry_no_dataset(self, monkeypatch):
         # the workers get the dataset once, through the pool's initializer; a
