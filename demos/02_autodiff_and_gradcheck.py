@@ -31,7 +31,7 @@ print()
 state = ops.BatchNormState.fresh(4)
 
 
-def build(tape, pv):
+def build(pv):
     h = ops.conv1d(pv["x"], pv["w"], pv["b"], stride=2, name="demo.conv")
     h = ops.batchnorm_train(h, pv["gamma"], pv["beta"], state)
     h = ad.relu(h)
@@ -54,7 +54,7 @@ inputs = models.tiny_inputs(rng, batch=2)
 labels = np.array([0, 1])
 
 
-def model_loss(tape, pvars):
+def model_loss(pvars):
     logits = model.forward(inputs, pvars)
     return ops.softmax_crossentropy(logits, labels)
 

@@ -3,12 +3,12 @@
 One :class:`Tape` records one forward computation; :func:`backward` replays it
 in reverse creation order (a valid reverse topological order, since every
 operand is created before its consumer) and accumulates gradients into every
-``requires_grad`` ancestor of the loss.
+Variable the loss depends on.
 
 All math ops here and in ``ops`` are polymorphic: given plain ndarrays they
 compute and return ndarrays; given at least one :class:`Variable` they return
-through :func:`record`, which lifts the rest to constants on that variable's
-tape and records the op for the backward pass.
+through :func:`record`, which records the op, with its other operands as the
+plain arrays they are, for the backward pass.
 """
 
 from __future__ import annotations
@@ -31,22 +31,20 @@ class NonFiniteError(AutodiffError):
 class Variable:
     """A tensor value on a tape; backward writes its gradient into ``buffer`` if set, else into a new array."""
 
-    __slots__ = ("value", "grad", "buffer", "requires_grad", "tape", "node_id")
+    __slots__ = ("value", "grad", "buffer", "tape")
 
-    def __init__(self, value, tape: "Tape", requires_grad: bool, node_id: int):
+    def __init__(self, value, tape: "Tape"):
         self.value = tc.as_tensor(value)
         self.grad: np.ndarray | None = None
         self.buffer: np.ndarray | None = None
-        self.requires_grad = requires_grad
         self.tape = tape
-        self.node_id = node_id
 
     @property
     def shape(self):
         return self.value.shape
 
     def __repr__(self):
-        return f"Variable(shape={self.value.shape}, requires_grad={self.requires_grad}, id={self.node_id})"
+        return f"Variable(shape={self.value.shape})"
 
 
 class _Node:
@@ -64,23 +62,16 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._next_id = 0
 
-    def variable(self, value, requires_grad: bool = True) -> Variable:
-        """Register a leaf tensor (a parameter when requires_grad is set)."""
-        v = Variable(value, self, requires_grad, self._next_id)
-        self._next_id += 1
-        return v
+    def variable(self, value) -> Variable:
+        """Register a leaf tensor whose gradient backward computes (a parameter)."""
+        return Variable(value, self)
 
-    def constant(self, value) -> Variable:
-        return self.variable(value, requires_grad=False)
-
-    def record(self, name: str, value, parents: Sequence[Variable], backward_fn: Callable) -> Variable:
-        """Create an op output; the node is kept only if a parent needs gradients."""
-        needs = any(p.requires_grad for p in parents)
-        out = self.variable(value, requires_grad=needs)
-        if needs:
-            self.nodes.append(_Node(name, out, tuple(parents), backward_fn))
+    def record(self, name: str, value, parents: Sequence, backward_fn: Callable) -> Variable:
+        """Create an op output and the node backward replays for it; ``parents``
+        are the op's operands in order, Variables or plain arrays."""
+        out = Variable(value, self)
+        self.nodes.append(_Node(name, out, tuple(parents), backward_fn))
         return out
 
 
@@ -92,7 +83,7 @@ def grad_of(v: Variable) -> np.ndarray:
 
 
 def backward(tape: Tape, loss: Variable) -> None:
-    """Populate d(loss)/d(ancestor) for every requires_grad ancestor of ``loss``."""
+    """Populate d(loss)/d(ancestor) for every Variable ancestor of ``loss``."""
     if loss.value.shape != ():
         raise AutodiffError(f"backward() needs a scalar loss, got shape {loss.value.shape}")
     if loss.tape is not tape:
@@ -104,7 +95,7 @@ def backward(tape: Tape, loss: Variable) -> None:
             continue
         parent_grads = node.backward_fn(g)
         for parent, pg in zip(node.parents, parent_grads):
-            if pg is None or not parent.requires_grad:
+            if pg is None or not isinstance(parent, Variable):
                 continue
             _accumulate(parent, pg)
 
@@ -128,13 +119,12 @@ def value_of(x) -> np.ndarray:
 
 def needs_grad(x) -> bool:
     """Whether backward must produce a gradient for operand ``x``."""
-    return isinstance(x, Variable) and x.requires_grad
+    return isinstance(x, Variable)
 
 
 def record(name: str, out, operands: Sequence, backward_fn: Callable):
     """How every op returns: ``out`` itself when no operand is a Variable, else
-    the Variable ``Tape.record`` makes on the operands' one shared tape, with
-    the other operands lifted to constants on it in operand order.
+    the Variable ``Tape.record`` makes on the operands' one shared tape.
 
     ``backward_fn(g)`` returns one gradient (or None) per operand.
     """
@@ -147,8 +137,7 @@ def record(name: str, out, operands: Sequence, backward_fn: Callable):
                 raise AutodiffError("operands live on different tapes")
     if tape is None:
         return out
-    parents = [x if isinstance(x, Variable) else tape.constant(x) for x in operands]
-    return tape.record(name, out, parents, backward_fn)
+    return tape.record(name, out, operands, backward_fn)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -237,49 +226,29 @@ def relu(a):
     return record("relu", np.maximum(av, 0.0), (a,), backward_fn)
 
 
-def contract(a, b, axes_a: Sequence[int], axes_b: Sequence[int]):
-    """Differentiable pairwise tensor contraction (see tensor.contract)."""
+def contract(a, b, axis: int = 1):
+    """Differentiable contraction of ``a``'s ``axis`` with ``b``'s axis 0; the
+    result holds ``a``'s other axes in order, then ``b``'s axes 1 onward."""
     av, bv = value_of(a), value_of(b)
-    out = tc.contract(av, bv, axes_a, axes_b)
-    axes_a, axes_b = list(axes_a), list(axes_b)
-    free_a = [ax for ax in range(av.ndim) if ax not in axes_a]
-    free_b = [ax for ax in range(bv.ndim) if ax not in axes_b]
-
-    def grad_wrt_a(g):
-        # tensordot over the free-b block leaves dims [free_a..., sorted(axes_b)...]
-        out_fb = list(range(len(free_a), len(free_a) + len(free_b)))
-        raw = np.tensordot(g, bv, axes=(out_fb, free_b))
-        sorted_cb = sorted(axes_b)
-        src_of_dest = [0] * av.ndim
-        for r, ax in enumerate(free_a):
-            src_of_dest[ax] = r
-        for r, b_ax in enumerate(sorted_cb):
-            a_ax = axes_a[axes_b.index(b_ax)]
-            src_of_dest[a_ax] = len(free_a) + r
-        return np.transpose(raw, src_of_dest)
-
-    def grad_wrt_b(g):
-        raw = np.tensordot(av, g, axes=(free_a, list(range(len(free_a)))))
-        sorted_ca = sorted(axes_a)
-        src_of_dest = [0] * bv.ndim
-        for r, a_ax in enumerate(sorted_ca):
-            b_ax = axes_b[axes_a.index(a_ax)]
-            src_of_dest[b_ax] = r
-        for r, ax in enumerate(free_b):
-            src_of_dest[ax] = len(sorted_ca) + r
-        return np.transpose(raw, src_of_dest)
+    if not 0 <= axis < av.ndim or bv.ndim == 0 or av.shape[axis] != bv.shape[0]:
+        raise tc.ShapeError(f"cannot contract axis {axis} of shape {av.shape} with axis 0 of shape {bv.shape}")
+    free = [ax for ax in range(av.ndim) if ax != axis]
 
     def backward_fn(g):
-        ga = grad_wrt_a(g) if needs_grad(a) else None
-        gb = grad_wrt_b(g) if needs_grad(b) else None
+        ga = gb = None
+        if needs_grad(a):  # g's trailing axes are b's axes 1 onward
+            ga = np.moveaxis(np.tensordot(g, bv, axes=(list(range(len(free), g.ndim)), list(range(1, bv.ndim)))),
+                             -1, axis)
+        if needs_grad(b):  # already in b's layout
+            gb = np.tensordot(av, g, axes=(free, list(range(len(free)))))
         return ga, gb
 
-    return record("contract", out, (a, b), backward_fn)
+    return record("contract", np.tensordot(av, bv, axes=([axis], [0])), (a, b), backward_fn)
 
 
 def matmul(a, b):
-    """2-D matrix product as a contraction over the inner axis."""
-    return contract(a, b, [value_of(a).ndim - 1], [0])
+    """Matrix product as a contraction over ``a``'s last axis."""
+    return contract(a, b, value_of(a).ndim - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +257,10 @@ def matmul(a, b):
 def grad_check(build_loss: Callable, params: dict, eps: float = 1e-5) -> float:
     """Compare analytic gradients of a scalar function against central differences.
 
-    ``build_loss(tape, param_vars)`` must construct the loss from the given
-    parameter Variables. Returns the max over all parameter coordinates of
+    ``build_loss(params)`` must construct the loss from the given parameters:
+    Variables for the analytic gradient, plain arrays for each perturbed
+    evaluation. A loss that is not a Variable has zero analytic gradient.
+    Returns the max over all parameter coordinates of
     ``|analytic - numeric| / max(1, |analytic|)``.
     """
     if eps <= 0:
@@ -297,23 +268,21 @@ def grad_check(build_loss: Callable, params: dict, eps: float = 1e-5) -> float:
     params = {k: tc.as_tensor(v) for k, v in params.items()}
 
     tape = Tape()
-    pvars = {k: tape.variable(v.copy(), requires_grad=True) for k, v in params.items()}
-    loss = build_loss(tape, pvars)
-    backward(tape, loss)
+    pvars = {k: tape.variable(v.copy()) for k, v in params.items()}
+    loss = build_loss(pvars)
+    if isinstance(loss, Variable):
+        backward(tape, loss)
     analytic = {k: grad_of(v) for k, v in pvars.items()}
 
     def eval_at(work: dict, name: str, idx: int) -> float:
-        t = Tape()
-        consts = {k: t.constant(v) for k, v in work.items()}
-        out = build_loss(t, consts)
-        val = float(value_of(out))
+        val = float(value_of(build_loss(work)))
         if not np.isfinite(val):
             raise NonFiniteError(f"non-finite loss while perturbing {name}[{idx}]")
         return val
 
     max_err = 0.0
     work = {k: v.copy() for k, v in params.items()}
-    for name, base in params.items():
+    for name in params:
         flat = work[name].reshape(-1)
         grad_flat = analytic[name].reshape(-1)
         for idx in range(flat.size):

@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__, models
 from .data import DataError, SegmentDataset, SynthSpec, load_manifest, synth_dataset
 from .fusion import FusionSpecError, MaterializeError
+from .tensor import file_problem
 from .train import TrainConfig
 
 
@@ -109,6 +110,8 @@ def resolve(path: str | None = None, overrides: dict | None = None) -> RunConfig
     """Merge config file, flag overrides and profile defaults into a RunConfig."""
     merged = {}
     if path is not None:
+        if (why := file_problem(path)) is not None:
+            raise ConfigError(f"config file {path} {why}")
         with open(path) as fh:
             try:
                 merged = json.load(fh)
@@ -160,8 +163,9 @@ def resolve(path: str | None = None, overrides: dict | None = None) -> RunConfig
         if key in overrides:
             train_doc[key] = overrides[key]
     train_cfg = TrainConfig(seed=seed, **train_doc)
-    for key in ("epochs", "batch_size", "eval_batch"):
+    for key in ("epochs", "eval_batch"):
         _int(getattr(train_cfg, key), 1, f"train.{key}")
+    _int(train_cfg.batch_size, 2, "train.batch_size")  # batch norm needs two samples
     for key in ("lr", "eps"):
         value = getattr(train_cfg, key)
         if not _is_number(value) or not 0 < value < math.inf:

@@ -173,7 +173,7 @@ def _mixdown(projs, mix):
     h = projs[0]
     for pm in projs[1:]:
         h = ad.mul(h, pm)
-    return ad.contract(h, mix, [1], [0])
+    return ad.contract(h, mix)
 
 
 def _full_chain(t, z):
@@ -211,15 +211,15 @@ def fuse(spec: FusionSpec, params, z1, z2, z3):
         w = params["w" if spec.kind == "LF" else "w_full"]
         if spec.path == "full":
             spec.check_materializable("full-path weight tensor")
-        y = ad.contract(operands[0], w, [1], [0])
+        y = ad.contract(operands[0], w)
         for z in operands[1:]:
             y = _full_chain(y, z)
     elif spec.symmetric:
         # one shared projection, multiplied by itself p times; backward sums
         # the p upstream gradients into it before one factor contraction
-        y = _mixdown([ad.contract(operands[0], params["factor"], [1], [0])] * spec.order, params["mix"])
+        y = _mixdown([ad.contract(operands[0], params["factor"])] * spec.order, params["mix"])
     else:
-        projs = [ad.contract(z, params[f"factor{k}"], [1], [0]) for k, z in enumerate(operands, 1)]
+        projs = [ad.contract(z, params[f"factor{k}"]) for k, z in enumerate(operands, 1)]
         y = _mixdown(projs, params["mix"])
     return ad.reshape(y, value_of(y).shape[1:]) if value_of(z1).ndim == 1 else y
 

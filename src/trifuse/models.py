@@ -190,8 +190,8 @@ class ModelGraph:
 
     ``forward(inputs)`` evaluates with the stored parameters and running
     statistics, a fixed map of each sample. ``forward(inputs, params)`` is the
-    training forward over ``params`` (autodiff Variables standing in for the
-    stored arrays): batch norm uses batch statistics and updates the running ones.
+    training forward over ``params`` (autodiff Variables, or plain arrays, in
+    place of the stored ones): batch norm uses batch statistics and updates the running ones.
     """
 
     def __init__(self, topology: dict, params: dict[str, np.ndarray], state: dict[str, BatchNormState]):

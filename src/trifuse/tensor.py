@@ -1,5 +1,4 @@
-"""Dense float64 tensor primitives: pairwise contraction and a little-endian
-binary file format.
+"""Dense float64 tensors: coercion and a little-endian binary file format.
 
 Every array handled by this package is a ``numpy.ndarray`` of float64. Input
 is copied row-major (last index fastest); a float64 array, such as the strided
@@ -14,7 +13,6 @@ import mmap
 import os
 import stat
 import struct
-from typing import Sequence
 
 import numpy as np
 
@@ -23,44 +21,13 @@ MAGIC_HEADER_DIM = "<Q"  # each dim: u64
 
 
 class ShapeError(ValueError):
-    """Raised when tensor shapes or axis lists are incompatible."""
+    """Raised when tensor shapes are incompatible or a tensor file is malformed."""
 
 
 def as_tensor(data) -> np.ndarray:
     """Coerce input to a float64 array (0-d stays 0-d); a float64 array is
     returned as it is, views included."""
     return np.asarray(data, dtype=np.float64)
-
-
-def _check_axes(name: str, axes: Sequence[int], ndim: int) -> list[int]:
-    axes = list(axes)
-    if len(set(axes)) != len(axes):
-        raise ShapeError(f"{name} axis list {axes} contains duplicates")
-    for ax in axes:
-        if not 0 <= ax < ndim:
-            raise ShapeError(f"{name} axis {ax} out of range for order-{ndim} tensor")
-    return axes
-
-
-def contract(a: np.ndarray, b: np.ndarray, axes_a: Sequence[int], axes_b: Sequence[int]) -> np.ndarray:
-    """Sum-product contraction of ``a`` and ``b`` over paired axes.
-
-    The result carries the free axes of ``a`` (in order) followed by the free
-    axes of ``b``. Contracting all axes of both operands yields a scalar.
-    """
-    a = as_tensor(a)
-    b = as_tensor(b)
-    axes_a = _check_axes("a", axes_a, a.ndim)
-    axes_b = _check_axes("b", axes_b, b.ndim)
-    if len(axes_a) != len(axes_b):
-        raise ShapeError(f"axis lists differ in length: {axes_a} vs {axes_b}")
-    for ax_a, ax_b in zip(axes_a, axes_b):
-        if a.shape[ax_a] != b.shape[ax_b]:
-            raise ShapeError(
-                f"cannot contract shapes {a.shape} and {b.shape}: "
-                f"axis pair ({ax_a}, {ax_b}) has sizes {a.shape[ax_a]} != {b.shape[ax_b]}"
-            )
-    return np.tensordot(a, b, axes=(axes_a, axes_b))
 
 
 def save_tensor(path, t: np.ndarray) -> None:

@@ -55,20 +55,20 @@ ADAM_CHUNK = 1 << 14
 
 @dataclass
 class AdamState:
+    m: np.ndarray  # the moments, flat as the parameters
+    v: np.ndarray
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: np.ndarray | None = None  # the moments, flat as the parameters; zeros made at step 1 if not given
-    v: np.ndarray | None = None
     # two work rows of ADAM_CHUNK entries, reused by every update
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_CHUNK)), init=False, repr=False,
                                 compare=False)
 
     @classmethod
     def for_config(cls, config: TrainConfig, size: int) -> "AdamState":
-        return cls(config.lr, config.beta1, config.beta2, config.eps, m=np.zeros(size), v=np.zeros(size))
+        return cls(np.zeros(size), np.zeros(size), config.lr, config.beta1, config.beta2, config.eps)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, named: dict[str, np.ndarray]) -> AdamState:
@@ -78,16 +78,14 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, named: di
     A non-finite gradient raises ``FloatingPointError`` naming its parameter before anything moves.
     """
     sizes = [p.size for p in named.values()]
-    if not params.shape == grads.shape == (sum(sizes),):
-        raise ValueError("adam_step needs flat parameters and gradients as long as the named arrays together")
+    if not params.shape == grads.shape == state.m.shape == state.v.shape == (sum(sizes),):
+        raise ValueError("adam_step needs flat parameters, gradients and moments as long as the named arrays together")
     t = state.step + 1
     for s in range(0, grads.size, ADAM_CHUNK):
         if not _all_finite(grads[s:s + ADAM_CHUNK]):
             bad = s + int(np.argmin(np.isfinite(grads[s:s + ADAM_CHUNK])))
             name = list(named)[int(np.searchsorted(np.cumsum(sizes), bad, side="right"))]
             raise FloatingPointError(f"non-finite gradient for parameter {name!r} at step {t}")
-    if state.m is None:
-        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     state.step = t
     for s in range(0, params.size, ADAM_CHUNK):
         p1, g1, m, v = (arr[s:s + ADAM_CHUNK] for arr in (params, grads, state.m, state.v))
@@ -272,7 +270,7 @@ def _train(model: ModelGraph, dataset: SegmentDataset, split, config: TrainConfi
         for sl in _batch_plan(len(order), config.batch_size):
             batch = order[sl]
             tape = ad.Tape()
-            pvars = {k: tape.variable(v, requires_grad=True) for k, v in model.params.items()}
+            pvars = {k: tape.variable(v) for k, v in model.params.items()}
             logits = model.forward(_model_inputs(model, dataset, batch), pvars)
             if not np.all(np.isfinite(logits.value)):
                 raise TrainingDiverged(epoch, float(np.max(np.abs(logits.value))))

@@ -141,24 +141,24 @@ def check_grad_primitives() -> tuple[bool, str]:
         worst[name] = ad.grad_check(build, params)
 
     x = rng.normal(size=(3, 4))
-    run("add/mul", lambda t, pv: ad.sum_all(ad.mul(ad.add(pv["a"], pv["b"]), pv["a"])),
+    run("add/mul", lambda pv: ad.sum_all(ad.mul(ad.add(pv["a"], pv["b"]), pv["a"])),
         {"a": x, "b": rng.normal(size=(3, 4))})
-    run("contract", lambda t, pv: ad.sum_all(ad.contract(pv["a"], pv["b"], [2, 0], [1, 2])),
-        {"a": rng.normal(size=(2, 3, 4)), "b": rng.normal(size=(5, 4, 2))})
-    run("concat/reshape", lambda t, pv: ad.sum_all(
+    run("contract", lambda pv: ad.sum_all(ad.contract(pv["a"], pv["b"], 1)),
+        {"a": rng.normal(size=(2, 4, 3)), "b": rng.normal(size=(4, 5, 2))})
+    run("concat/reshape", lambda pv: ad.sum_all(
         ad.mul(c := ad.concat_last([pv["a"], pv["b"]]), c)),
         {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(2, 2))})
     xr = rng.normal(size=(3, 4))
     xr[np.abs(xr) < 1e-3] += 1e-2  # keep clear of the ReLU kink
-    run("relu", lambda t, pv: ad.sum_all(ad.mul(ad.relu(pv["x"]), ad.relu(pv["x"]))), {"x": xr})
-    run("conv1d", lambda t, pv: ad.sum_all(ad.mul(
+    run("relu", lambda pv: ad.sum_all(ad.mul(ad.relu(pv["x"]), ad.relu(pv["x"]))), {"x": xr})
+    run("conv1d", lambda pv: ad.sum_all(ad.mul(
         y := ops.conv1d(pv["x"], pv["w"], pv["b"], stride=2, padding=1), y)),
         {"x": rng.normal(size=(2, 2, 9)), "w": rng.normal(size=(3, 2, 3)), "b": rng.normal(size=3)})
     # the extractors' own geometries: the (9, 4) EEG opener and an unbatched (3, 1) block
-    run("conv1d 9/4", lambda t, pv: ad.sum_all(ad.mul(
+    run("conv1d 9/4", lambda pv: ad.sum_all(ad.mul(
         y := ops.conv1d(pv["x"], pv["w"], pv["b"], stride=4), y)),
         {"x": rng.normal(size=(2, 2, 21)), "w": rng.normal(size=(3, 2, 9)), "b": rng.normal(size=3)})
-    run("conv1d [C, T]", lambda t, pv: ad.sum_all(ad.mul(
+    run("conv1d [C, T]", lambda pv: ad.sum_all(ad.mul(
         y := ops.conv1d(pv["x"], pv["w"], pv["b"]), y)),
         {"x": rng.normal(size=(2, 7)), "w": rng.normal(size=(3, 2, 3)), "b": rng.normal(size=3)})
     # the fused extractor block at the (9, 4) EEG opener and a (3, 1) block, with the
@@ -169,15 +169,15 @@ def check_grad_primitives() -> tuple[bool, str]:
         block = {"w": rng.normal(size=(3, 2, filt)), "b": rng.normal(size=3),
                  "g": rng.normal(size=3) + 1.0, "be": rng.normal(size=3)}
         st = ops.BatchNormState.fresh(3)
-        run(f"conv_bn_relu {geometry}", lambda t, pv: ad.sum_all(ad.mul(ops.conv_bn_relu(
+        run(f"conv_bn_relu {geometry}", lambda pv: ad.sum_all(ad.mul(ops.conv_bn_relu(
             pv["x"], pv["w"], pv["b"], pv["g"], pv["be"], st, stride=stride), r)), {"x": x, **block})
-        run(f"conv_bn_relu {geometry} const x", lambda t, pv: ad.sum_all(ad.mul(ops.conv_bn_relu(
+        run(f"conv_bn_relu {geometry} const x", lambda pv: ad.sum_all(ad.mul(ops.conv_bn_relu(
             x, pv["w"], pv["b"], pv["g"], pv["be"], st, stride=stride), r)), block)
     st = ops.BatchNormState.fresh(2)
-    run("batchnorm_train", lambda t, pv: ad.sum_all(ad.mul(
+    run("batchnorm_train", lambda pv: ad.sum_all(ad.mul(
         y := ops.batchnorm_train(pv["x"], pv["g"], pv["b"], st), y)),
         {"x": rng.normal(size=(3, 2, 4)), "g": rng.normal(size=2) + 1.0, "b": rng.normal(size=2)})
-    run("avgpool/l2/linear/softmax_ce", lambda t, pv: ops.softmax_crossentropy(
+    run("avgpool/l2/linear/softmax_ce", lambda pv: ops.softmax_crossentropy(
         ops.linear_forward(ops.l2_normalize(ops.global_avgpool(pv["x"])), pv["w"], pv["b"]),
         np.array([0, 1, 1])),
         {"x": rng.normal(size=(3, 3, 5)), "w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)})
@@ -188,7 +188,7 @@ def check_grad_primitives() -> tuple[bool, str]:
 
 
 def _model_grad_err(model: models.ModelGraph, inputs, labels) -> float:
-    def build(tape, pvars):
+    def build(pvars):
         logits = model.forward(inputs, pvars)
         return ops.softmax_crossentropy(logits, labels)
 

@@ -26,6 +26,7 @@ FAIL_CLOSED_PROBES = {
     "tf-full-over-guard": (["--model", "tf", "--path", "full", "--profile", "full"], {}),
     "pf-order-over-guard": (["--model", "pf", "--order", "1000000000"], {}),
     "batch-size-0": (["--model", "oxy", "--batch-size", "0"], {}),
+    "batch-size-1": (["--model", "oxy", "--batch-size", "1"], {}),
     "eval-batch-0": (["--model", "oxy"], {"train": {"eval_batch": 0}}),
     "jobs-0": (["--model", "oxy", "--jobs", "0"], {}),
     "lr-nan": (["--model", "oxy", "--lr", "nan"], {}),
@@ -434,6 +435,23 @@ class TestUsageErrors:
 
     def test_missing_data(self, tmp_path):
         assert run("cv", "--model", "oxy", "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("kind, why", [
+        ("missing", "does not exist"),
+        ("directory", "is not a regular file"),
+        pytest.param("fifo", "is not a regular file",
+                     marks=pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")),
+    ])
+    def test_config_must_be_a_regular_file(self, tmp_path, capsys, fails_before_hanging, kind, why):
+        # opening a FIFO for reading would block until a writer came
+        cfg = tmp_path / "cfg.json"
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind == "fifo":
+            os.mkfifo(cfg)
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == f"error: config file {cfg} {why}\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_fold_count_below_two(self, synth_manifest, tmp_path, capsys, k):

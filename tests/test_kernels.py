@@ -1,7 +1,9 @@
 """Hot-path kernels against copies of their earlier formulas.
 
-Symmetric PF shares one projection across polynomial positions, batch norm
-reuses its centred input and takes a closed-form backward, Adam updates
+``autodiff.contract`` joins one axis of ``a`` with ``b``'s first instead of
+paired axis lists, symmetric PF shares one projection across polynomial
+positions, batch norm reuses its centred input and takes a closed-form
+backward, Adam updates
 chunk by chunk through reused scratch rows, conv1d multiplies a
 time-innermost window matrix, each extractor block is one conv + batch norm
 + ReLU op, one ``fusion.fuse`` replaced the per-kind fusion forwards,
@@ -17,6 +19,7 @@ import copy
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -94,6 +97,131 @@ class TestSymmetricPF:
 
 
 # ---------------------------------------------------------------------------
+# one-axis contract, against the general multi-axis contraction it replaced
+# (tensor.contract, its _check_axes and autodiff.contract, copied verbatim,
+# renamed old_tensor_contract / _old_check_axes / old_contract; old_matmul is
+# matmul over it). The per-kind fusion forwards below call these copies.
+
+def _old_check_axes(name: str, axes: Sequence[int], ndim: int) -> list[int]:
+    axes = list(axes)
+    if len(set(axes)) != len(axes):
+        raise tc.ShapeError(f"{name} axis list {axes} contains duplicates")
+    for ax in axes:
+        if not 0 <= ax < ndim:
+            raise tc.ShapeError(f"{name} axis {ax} out of range for order-{ndim} tensor")
+    return axes
+
+
+def old_tensor_contract(a: np.ndarray, b: np.ndarray, axes_a: Sequence[int], axes_b: Sequence[int]) -> np.ndarray:
+    """Sum-product contraction of ``a`` and ``b`` over paired axes.
+
+    The result carries the free axes of ``a`` (in order) followed by the free
+    axes of ``b``. Contracting all axes of both operands yields a scalar.
+    """
+    a = tc.as_tensor(a)
+    b = tc.as_tensor(b)
+    axes_a = _old_check_axes("a", axes_a, a.ndim)
+    axes_b = _old_check_axes("b", axes_b, b.ndim)
+    if len(axes_a) != len(axes_b):
+        raise tc.ShapeError(f"axis lists differ in length: {axes_a} vs {axes_b}")
+    for ax_a, ax_b in zip(axes_a, axes_b):
+        if a.shape[ax_a] != b.shape[ax_b]:
+            raise tc.ShapeError(
+                f"cannot contract shapes {a.shape} and {b.shape}: "
+                f"axis pair ({ax_a}, {ax_b}) has sizes {a.shape[ax_a]} != {b.shape[ax_b]}"
+            )
+    return np.tensordot(a, b, axes=(axes_a, axes_b))
+
+
+def old_contract(a, b, axes_a: Sequence[int], axes_b: Sequence[int]):
+    """Differentiable pairwise tensor contraction (see tensor.contract)."""
+    av, bv = value_of(a), value_of(b)
+    out = old_tensor_contract(av, bv, axes_a, axes_b)
+    axes_a, axes_b = list(axes_a), list(axes_b)
+    free_a = [ax for ax in range(av.ndim) if ax not in axes_a]
+    free_b = [ax for ax in range(bv.ndim) if ax not in axes_b]
+
+    def grad_wrt_a(g):
+        # tensordot over the free-b block leaves dims [free_a..., sorted(axes_b)...]
+        out_fb = list(range(len(free_a), len(free_a) + len(free_b)))
+        raw = np.tensordot(g, bv, axes=(out_fb, free_b))
+        sorted_cb = sorted(axes_b)
+        src_of_dest = [0] * av.ndim
+        for r, ax in enumerate(free_a):
+            src_of_dest[ax] = r
+        for r, b_ax in enumerate(sorted_cb):
+            a_ax = axes_a[axes_b.index(b_ax)]
+            src_of_dest[a_ax] = len(free_a) + r
+        return np.transpose(raw, src_of_dest)
+
+    def grad_wrt_b(g):
+        raw = np.tensordot(av, g, axes=(free_a, list(range(len(free_a)))))
+        sorted_ca = sorted(axes_a)
+        src_of_dest = [0] * bv.ndim
+        for r, a_ax in enumerate(sorted_ca):
+            b_ax = axes_b[axes_a.index(a_ax)]
+            src_of_dest[b_ax] = r
+        for r, ax in enumerate(free_b):
+            src_of_dest[ax] = len(sorted_ca) + r
+        return np.transpose(raw, src_of_dest)
+
+    def backward_fn(g):
+        ga = grad_wrt_a(g) if needs_grad(a) else None
+        gb = grad_wrt_b(g) if needs_grad(b) else None
+        return ga, gb
+
+    return ad.record("contract", out, (a, b), backward_fn)
+
+
+def old_matmul(a, b):
+    """2-D matrix product as a contraction over the inner axis."""
+    return old_contract(a, b, [value_of(a).ndim - 1], [0])
+
+
+def _contract_case(fn, av, bv, upstream, variables: str):
+    """Output and the gradients of the operands named in ``variables`` ("a", "b")."""
+    tape = ad.Tape()
+    a, b = (tape.variable(v) if name in variables else v for name, v in (("a", av), ("b", bv)))
+    y = fn(a, b)
+    if not variables:
+        return [y]
+    ad.backward(tape, ad.sum_all(ad.mul(y, upstream)))
+    assert [n.name for n in tape.nodes] == ["contract", "mul", "sum_all"]
+    return [y.value] + [ad.grad_of(v) for v in (a, b) if isinstance(v, ad.Variable)]
+
+
+# (a's shape, b's shape) of every contraction the models make, B=4 d=6 R=3 O=5,
+# plus the full-profile PF3 projection (d = 120 + 144 + 144, batch 16)
+CONTRACT_SHAPES = {
+    "projection [B,d]x[d,R,O]": ((4, 6), (6, 3, 5)),
+    "projection full PF3": ((16, 408), (408, 16, 128)),
+    "mixdown [B,R,O]x[R]": ((4, 3, 5), (3,)),
+    "LF [B,d]x[d,O]": ((4, 6), (6, 5)),
+    "full TF [B,d1]x[d1,d2,d3,O]": ((4, 6), (6, 2, 3, 5)),
+    "full PF2 [B,d]x[d,d,O]": ((4, 6), (6, 6, 5)),
+}
+MATMUL_SHAPES = {"head [B,F]x[F,C]": ((4, 6), (6, 2)), "head [F]x[F,C]": ((6,), (6, 2))}
+
+
+class TestContract:
+    @pytest.mark.parametrize("variables", ["ab", "a", "b", ""], ids=["both", "a", "b", "neither"])
+    @pytest.mark.parametrize("kind, a_shape, b_shape", [
+        ("contract", *shapes) for shapes in CONTRACT_SHAPES.values()] + [
+        ("matmul", *shapes) for shapes in MATMUL_SHAPES.values()],
+        ids=list(CONTRACT_SHAPES) + list(MATMUL_SHAPES))
+    def test_byte_identical_to_general_contraction(self, kind, a_shape, b_shape, variables):
+        rng = np.random.default_rng(31)
+        av, bv = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        new, old = (ad.contract, lambda a, b: old_contract(a, b, [1], [0])) if kind == "contract" else \
+            (ad.matmul, old_matmul)
+        upstream = rng.normal(size=old(av, bv).shape)
+        got, want = (_contract_case(fn, av, bv, upstream, variables) for fn in (new, old))
+        assert len(got) == len(want) == 1 + len(variables)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # one fusion forward, against the per-kind forwards it replaced (copied
 # verbatim, renamed old_linear / old_tensor / old_polynomial)
 
@@ -131,7 +259,7 @@ def old_linear(z1, z2, z3, params):
         raise FusionSpecError(
             f"concatenated length {value_of(zc).shape[-1]} does not match weight rows {d}"
         )
-    return _maybe_squeeze(ad.matmul(zc, w), s1)
+    return _maybe_squeeze(old_matmul(zc, w), s1)
 
 
 def _mixdown(projs, mix):
@@ -139,7 +267,7 @@ def _mixdown(projs, mix):
     h = projs[0]
     for pm in projs[1:]:
         h = ad.mul(h, pm)
-    return ad.contract(h, mix, [1], [0])
+    return old_contract(h, mix, [1], [0])
 
 
 def _full_chain(t, z, n_remaining: int):
@@ -161,7 +289,7 @@ def old_tensor(z1, z2, z3, params, path: str = "factorized"):
         a, b, c, _o = value_of(w).shape
         for z, dim, tag in ((z1, a, "z1"), (z2, b, "z2"), (z3, c, "z3")):
             _check_len(z, dim, tag)
-        t = ad.contract(z1, w, [1], [0])  # [batch, B, C, O]
+        t = old_contract(z1, w, [1], [0])  # [batch, B, C, O]
         t = _full_chain(t, z2, 2)  # [batch, C, O]
         t = _full_chain(t, z3, 1)  # [batch, O]
         return _maybe_squeeze(t, s1)
@@ -171,7 +299,7 @@ def old_tensor(z1, z2, z3, params, path: str = "factorized"):
     _check_len(z1, value_of(f1).shape[0], "z1")
     _check_len(z2, value_of(f2).shape[0], "z2")
     _check_len(z3, value_of(f3).shape[0], "z3")
-    projs = [ad.contract(z, f, [1], [0]) for z, f in ((z1, f1), (z2, f2), (z3, f3))]
+    projs = [old_contract(z, f, [1], [0]) for z, f in ((z1, f1), (z2, f2), (z3, f3))]
     return _maybe_squeeze(_mixdown(projs, mix), s1)
 
 
@@ -198,16 +326,16 @@ def old_polynomial(z1, z2, z3, params, spec: FusionSpec):
     if spec.path == "full":
         spec.check_materializable("full-path weight tensor")
         w = params["w_full"]
-        t = ad.contract(zc, w, [1], [0])  # [batch, d^(p-1)..., O]
+        t = old_contract(zc, w, [1], [0])  # [batch, d^(p-1)..., O]
         for k in range(2, p + 1):
             t = _full_chain(t, zc, p - k + 1)
         return _maybe_squeeze(t, s1)
     if spec.symmetric:
         # one shared projection, multiplied by itself p times; backward sums
         # the p upstream gradients into it before one factor contraction
-        projs = [ad.contract(zc, params["factor"], [1], [0])] * p
+        projs = [old_contract(zc, params["factor"], [1], [0])] * p
     else:
-        projs = [ad.contract(zc, params[f"factor{k}"], [1], [0]) for k in range(1, p + 1)]
+        projs = [old_contract(zc, params[f"factor{k}"], [1], [0]) for k in range(1, p + 1)]
     return _maybe_squeeze(_mixdown(projs, params["mix"]), s1)
 
 
@@ -835,7 +963,7 @@ def dict_train_steps(model, dataset, train_idx, config) -> list[float]:
         for sl in train._batch_plan(len(order), config.batch_size):
             batch = order[sl]
             tape = ad.Tape()
-            pvars = {k: tape.variable(v, requires_grad=True) for k, v in model.params.items()}
+            pvars = {k: tape.variable(v) for k, v in model.params.items()}
             logits = model.forward(train._model_inputs(model, dataset, batch), pvars)
             loss = ops.softmax_crossentropy(logits, dataset.labels[batch])
             lval = float(loss.value)
@@ -846,6 +974,10 @@ def dict_train_steps(model, dataset, train_idx, config) -> list[float]:
             epoch_loss += lval * len(batch)
         losses.append(epoch_loss / len(order))
     return losses
+
+
+def zero_adam(size: int, lr: float = 0.001) -> AdamState:
+    return AdamState(np.zeros(size), np.zeros(size), lr=lr)
 
 
 def flatten(params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -871,7 +1003,7 @@ class TestAdam:
         shapes = {"conv.w": (6, 3, 5), "bias": (6,), "scalar": (), "head.w": (4, 2), "frozen": (3,)}
         ref_params = {k: rng.normal(size=s) for k, s in shapes.items()}
         flat, named = flatten(ref_params)
-        state, ref_state = AdamState(lr=0.01), DictAdamState(lr=0.01)
+        state, ref_state = zero_adam(flat.size, lr=0.01), DictAdamState(lr=0.01)
         for _ in range(5):
             grads = {k: rng.normal(size=s) for k, s in shapes.items() if k != "frozen"}
             adam_step(flat, dense_grads(grads, ref_params), state, named)
@@ -884,7 +1016,7 @@ class TestAdam:
     def test_non_finite_gradient_raises(self):
         flat, named = flatten({"a": np.ones(4), "b": np.ones(2)})
         with pytest.raises(FloatingPointError, match="'b'"):
-            adam_step(flat, np.array([1.0, 1.0, 1.0, 1.0, 1.0, np.inf]), AdamState(), named)
+            adam_step(flat, np.array([1.0, 1.0, 1.0, 1.0, 1.0, np.inf]), zero_adam(flat.size), named)
 
     def test_chunked_bit_identical_to_whole_array_update_on_full_model(self):
         # 1,429,534 entries in 76 arrays, the largest far over one chunk
@@ -892,7 +1024,7 @@ class TestAdam:
         flat, named = flatten(ref_params)
         assert max(p.size for p in named.values()) > 4 * train.ADAM_CHUNK
         rng = np.random.default_rng(6)
-        state, ref_state = AdamState(lr=0.01), DictAdamState(lr=0.01)
+        state, ref_state = zero_adam(flat.size, lr=0.01), DictAdamState(lr=0.01)
         for _ in range(5):
             grads = {k: rng.normal(size=p.shape) for k, p in ref_params.items() if k != "eeg.bn2.beta"}
             adam_step(flat, dense_grads(grads, ref_params), state, named)
@@ -909,7 +1041,7 @@ class TestAdam:
         g[-2] = bad
         before = flat.copy()
         with pytest.raises(FloatingPointError, match="'big'"):
-            adam_step(flat, g, AdamState(), named)
+            adam_step(flat, g, zero_adam(flat.size), named)
         assert np.array_equal(flat, before)
 
     def test_finite_gradient_whose_sum_overflows_is_accepted(self):
@@ -917,7 +1049,7 @@ class TestAdam:
         g = np.full(4, 1e308)
         with np.errstate(over="ignore"):
             assert not np.isfinite(g.sum())
-            state = adam_step(flat, g, AdamState(), named)
+            state = adam_step(flat, g, zero_adam(flat.size), named)
         assert state.step == 1 and np.all(np.isfinite(flat))
 
     @pytest.mark.parametrize("params, grads, named", [
@@ -928,8 +1060,15 @@ class TestAdam:
     def test_mismatched_layout_is_refused(self, params, grads, named):
         before = params.copy()
         with pytest.raises(ValueError, match="flat parameters"):
-            adam_step(params, grads, AdamState(), named)
+            adam_step(params, grads, zero_adam(params.size), named)
         assert np.array_equal(params, before)
+
+    def test_moments_of_another_length_are_refused(self):
+        flat, named = flatten({"a": np.ones(4)})
+        for state in (zero_adam(3), AdamState(np.zeros(4), np.zeros(5))):
+            with pytest.raises(ValueError, match="moments"):
+                adam_step(flat, np.ones(4), state, named)
+        assert np.array_equal(flat, np.ones(4))
 
     def test_fortran_ordered_parameter_trains_like_c_ordered(self):
         # the arena copies each parameter in C order, so memory layout cannot reach the update
@@ -987,7 +1126,7 @@ class TestArenaTrainingLoop:
     def _stepped_arena():
         """A full PF3 arena after one Adam step, so that m and v are not zero."""
         flat, named = flatten(models.build_from_spec(PF3_FULL, seed=1).params)
-        state = adam_step(flat, np.random.default_rng(2).normal(size=flat.size), AdamState(), named)
+        state = adam_step(flat, np.random.default_rng(2).normal(size=flat.size), zero_adam(flat.size), named)
         return flat, named, state, np.cumsum([p.size for p in named.values()])
 
     def test_non_finite_entry_in_a_middle_parameter(self):

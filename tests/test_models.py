@@ -175,7 +175,7 @@ class TestTinyClones:
         inputs = models.tiny_inputs(rng, batch=2)
         labels = np.array([0, 1])
 
-        def build(tape, pvars):
+        def build(pvars):
             logits = model.forward(inputs, pvars)
             return ops.softmax_crossentropy(logits, labels)
 

@@ -34,7 +34,7 @@ PF3_DESK = {"type": "fused", "profile": "desk",
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         w = np.array([1.0, -2.0])
-        st = AdamState()
+        st = AdamState.for_config(TrainConfig(), 2)
         for _ in range(10):
             adam_step(w, np.zeros(2), st, {"w": w})
         assert np.array_equal(w, [1.0, -2.0])
@@ -43,7 +43,7 @@ class TestAdam:
     def test_constant_gradient_steady_state(self):
         # after enough steps the update magnitude approaches lr * sign(g)
         w = np.zeros(2)
-        st = AdamState(lr=0.001)
+        st = AdamState.for_config(TrainConfig(lr=0.001), 2)
         g = np.array([0.37, -4.2])
         for _ in range(499):
             adam_step(w, g, st, {"w": w})
@@ -54,7 +54,7 @@ class TestAdam:
     def test_quadratic_bowl_converges(self):
         target = np.array([0.3, -0.2, 0.5])
         w = np.zeros(3)
-        st = AdamState(lr=0.001)
+        st = AdamState.for_config(TrainConfig(lr=0.001), 3)
         for _ in range(2000):
             adam_step(w, 2.0 * (w - target), st, {"w": w})
         assert np.max(np.abs(w - target)) < 1e-3
@@ -63,7 +63,7 @@ class TestAdam:
         rng = np.random.default_rng(0)
         w = rng.normal(size=4)
         snapshot = w.copy()
-        st = AdamState(lr=0.0)
+        st = AdamState.for_config(TrainConfig(lr=0.0), 4)
         for _ in range(25):
             adam_step(w, rng.normal(size=4), st, {"w": w})
         assert np.array_equal(w, snapshot)
@@ -71,7 +71,7 @@ class TestAdam:
     def test_non_finite_gradient_names_parameter(self):
         w = np.zeros(3)
         with pytest.raises(FloatingPointError, match="conv.w"):
-            adam_step(w, np.array([0.0, np.nan, 0.0]), AdamState(), {"head.b": w[:1], "conv.w": w[1:]})
+            adam_step(w, np.array([0.0, np.nan, 0.0]), AdamState.for_config(TrainConfig(), 3), {"head.b": w[:1], "conv.w": w[1:]})
 
 
 class TestTrainLoop:
