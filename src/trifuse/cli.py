@@ -18,7 +18,7 @@ import tempfile
 from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__, config, data, models, train, verify
-from .fusion import FusionSpec, FusionSpecError, param_count
+from .fusion import KINDS, PATHS, FusionSpec, FusionSpecError, param_count
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -89,12 +89,12 @@ def _add_data(p: argparse.ArgumentParser):
 
 
 def _add_model(p: argparse.ArgumentParser):
-    p.add_argument("--model", choices=["eeg", "oxy", "deoxy", "lf", "tf", "pf"],
+    p.add_argument("--model", choices=[*data.MODALITIES, *(kind.lower() for kind in KINDS)],
                    help="single-modal classifier or fusion kind")
     p.add_argument("--order", type=int, help="polynomial order p (PF)")
     p.add_argument("--rank", type=int, help="CP rank R (TF/PF factorized)")
     p.add_argument("--symmetric", action="store_true", default=None, help="share one PF factor tensor")
-    p.add_argument("--path", choices=["full", "factorized"], help="fusion weight representation")
+    p.add_argument("--path", choices=PATHS, help="fusion weight representation")
     p.add_argument("--output-dim", type=int, help="fused vector length")
     p.add_argument("--l2-normalize", action="store_true", default=None,
                    help="L2-normalize the fused vector even for LF")
@@ -111,13 +111,12 @@ def _add_train(p: argparse.ArgumentParser):
 def _model_override(args) -> dict | None:
     if args.model is None:
         return None
-    if args.model in ("eeg", "oxy", "deoxy"):
+    if args.model in data.MODALITIES:
         return {"type": "single", "modality": args.model}
     fusion = {"kind": args.model.upper()}
-    for key, val in (("order", args.order), ("rank", args.rank), ("symmetric", args.symmetric),
-                     ("path", args.path), ("output_dim", args.output_dim)):
-        if val is not None:
-            fusion[key] = val
+    for key in ("order", "rank", "symmetric", "path", "output_dim"):
+        if getattr(args, key) is not None:
+            fusion[key] = getattr(args, key)
     model = {"type": "fused", "fusion": fusion}
     if args.l2_normalize is not None:
         model["l2_normalize"] = args.l2_normalize
@@ -125,16 +124,10 @@ def _model_override(args) -> dict | None:
 
 
 def _overrides(args) -> dict:
-    out = {
-        "out": getattr(args, "out", None), "seed": getattr(args, "seed", None),
-        "profile": getattr(args, "profile", None), "task": getattr(args, "task", None),
-        "jobs": getattr(args, "jobs", None), "k": getattr(args, "k", None),
-        "epochs": getattr(args, "epochs", None), "batch_size": getattr(args, "batch_size", None),
-        "lr": getattr(args, "lr", None), "trial_vote": getattr(args, "trial_vote", None),
-        "manifest": getattr(args, "manifest", None),
-        "shuffle_labels": getattr(args, "shuffle_labels", None),
-        "model": _model_override(args) if hasattr(args, "model") else None,
-    }
+    # a setting with no flag on this command is None, as is a flag not given: resolve drops both
+    keys = ("out", "seed", "profile", "task", "jobs", "k", *config.TRAIN_KEYS, "manifest", "shuffle_labels")
+    out = {key: getattr(args, key, None) for key in keys}
+    out["model"] = _model_override(args) if hasattr(args, "model") else None
     if getattr(args, "synth", None) is not None:
         synth = {"generator": args.synth}
         for key, val in (("n_trials", args.trials), ("segments_per_trial", args.segments_per_trial),
@@ -152,8 +145,9 @@ def _resolve(args) -> config.RunConfig:
 
 def _require_out(cfg: config.RunConfig) -> str:
     """The run's output directory. Refused, before any work, where the final swap
-    would replace a file, a directory that holds the run's data manifest, or a
-    non-empty directory that no trifuse command wrote."""
+    would replace a file, a directory that holds the run's data manifest, a
+    non-empty directory that no trifuse command wrote, or one that holds a payload
+    the run's data manifest names."""
     out = cfg.out
     if not out:
         raise config.ConfigError("no output directory: pass --out, set 'out' in the config, or export TRIFUSE_OUT")
@@ -166,6 +160,11 @@ def _require_out(cfg: config.RunConfig) -> str:
     if os.path.isdir(out) and set(os.listdir(out)) not in OUT_ENTRIES:
         raise config.ConfigError(f"output directory {out} holds files no trifuse command wrote; "
                                  "pass a new or empty directory, or a previous run's output")
+    held = data.manifest_payloads(manifest) if manifest and os.path.isdir(out) else []
+    for payload in held:
+        if os.path.commonpath([real_out, os.path.realpath(payload)]) == real_out:
+            raise config.ConfigError(f"output directory {out} holds {payload}, a payload of the data manifest "
+                                     f"{manifest}; replacing it would delete the dataset")
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,20 +28,13 @@ class ConfigError(ValueError):
 
 TOP_KEYS = {"task", "data", "model", "train", "cv", "profile", "seed", "out", "jobs"}
 DATA_KEYS = {"synth", "manifest", "seed", "shuffle_labels"}
-SYNTH_KEYS = {"generator", "n_trials", "segments_per_trial", "noise", "n_subjects"}
+SYNTH_KEYS = {f.name for f in fields(SynthSpec)}
 MODEL_KEYS = set(models.SPEC_KEYS) - {"profile"}
 FUSION_KEYS = set(models.FUSION_KEYS)
-TRAIN_KEYS = {"epochs", "batch_size", "lr", "beta1", "beta2", "eps", "shuffle", "eval_batch", "trial_vote"}
+TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed"}  # the run's seed is top-level
 CV_KEYS = {"k"}
 
-PROFILES = ("full", "desk")
-# full is the reference protocol (300 epochs, 128-long fused vector); desk
-# shrinks epochs and the fused vector for laptop-scale runs (conv widths
-# shrink inside models.py)
-PROFILE_DEFAULTS = {
-    "full": {"epochs": 300, "output_dim": 128},
-    "desk": {"epochs": 30, "output_dim": 16},
-}
+PROFILES = tuple(models.PROFILES)
 
 
 def _check_keys(doc: dict, allowed: set, where: str):
@@ -83,12 +76,7 @@ class RunConfig:
 
     def fingerprint(self) -> dict:
         """Everything needed to reproduce the run, embedded in every report."""
-        return {
-            "task": self.task, "profile": self.profile, "seed": self.seed,
-            "jobs": self.jobs, "k": self.k,
-            "data": self.data, "model": self.model, "train": asdict(self.train),
-            "version": __version__,
-        }
+        return {**{k: v for k, v in asdict(self).items() if k != "out"}, "version": __version__}
 
 
 def _validate_model(model: dict, profile: str) -> dict:
@@ -98,7 +86,7 @@ def _validate_model(model: dict, profile: str) -> dict:
     if isinstance(model.get("fusion"), dict):
         _check_keys(model["fusion"], FUSION_KEYS, "model.fusion")
         spec["fusion"] = {**model["fusion"]}
-        spec["fusion"].setdefault("output_dim", PROFILE_DEFAULTS[profile]["output_dim"])
+        spec["fusion"].setdefault("output_dim", models.PROFILES[profile]["output_dim"])
     try:
         models.topology(spec)
     except (models.ModelError, FusionSpecError, MaterializeError) as exc:
@@ -126,11 +114,11 @@ def resolve(path: str | None = None, overrides: dict | None = None) -> RunConfig
             merged[key] = overrides[key]
     _check_keys(merged, TOP_KEYS, "config")
 
-    profile = merged.get("profile", "full")
+    profile = merged.get("profile", RunConfig.profile)
     if profile not in PROFILES:
         raise ConfigError(f"profile must be one of {PROFILES}, got {profile!r}")
-    seed = _int(merged.get("seed", 0), 0, "seed")
-    task = _typed(merged.get("task", "run"), str, "task")
+    seed = _int(merged.get("seed", RunConfig.seed), 0, "seed")
+    task = _typed(merged.get("task", RunConfig.task), str, "task")
     out = merged.get("out") or os.environ.get("TRIFUSE_OUT")
     if out is not None:
         _typed(out, str, "out")
@@ -158,7 +146,7 @@ def resolve(path: str | None = None, overrides: dict | None = None) -> RunConfig
 
     train_doc = dict(_typed(merged.get("train") or {}, dict, "train"))
     _check_keys(train_doc, TRAIN_KEYS, "train")
-    train_doc.setdefault("epochs", PROFILE_DEFAULTS[profile]["epochs"])
+    train_doc.setdefault("epochs", models.PROFILES[profile]["epochs"])
     for key in TRAIN_KEYS:
         if key in overrides:
             train_doc[key] = overrides[key]
@@ -179,12 +167,12 @@ def resolve(path: str | None = None, overrides: dict | None = None) -> RunConfig
 
     cv_doc = dict(_typed(merged.get("cv") or {}, dict, "cv"))
     _check_keys(cv_doc, CV_KEYS, "cv")
-    k = overrides["k"] if "k" in overrides else cv_doc.get("k", 5)
+    k = overrides["k"] if "k" in overrides else cv_doc.get("k", RunConfig.k)
     if isinstance(k, bool) or not isinstance(k, int) or k < 2:
         raise ConfigError(f"k must be at least 2 folds, got {k!r}")
 
     return RunConfig(
-        task=task, profile=profile, seed=seed, jobs=_int(merged.get("jobs", 1), 1, "jobs"),
+        task=task, profile=profile, seed=seed, jobs=_int(merged.get("jobs", RunConfig.jobs), 1, "jobs"),
         k=k, out=out, data=data, model=model_spec, train=train_cfg,
     )
 
@@ -201,7 +189,9 @@ def load_dataset(cfg: RunConfig) -> SegmentDataset:
     else:
         raise ConfigError("data: needs a 'manifest' path or a 'synth' generator spec")
     if cfg.data.get("shuffle_labels"):
+        # permute the trials' labels, then give each segment its trial's new label
         rng = np.random.default_rng(int(cfg.data.get("seed", cfg.seed)) + 1)
-        ds = SegmentDataset(ds.eeg, ds.oxy, ds.deoxy, rng.permutation(ds.labels),
+        _, first, trial_of = np.unique(ds.trial_ids, return_index=True, return_inverse=True)
+        ds = SegmentDataset(ds.eeg, ds.oxy, ds.deoxy, rng.permutation(ds.labels[first])[trial_of],
                             ds.trial_ids, ds.offsets, ds.subjects, ds.planted)
     return ds

@@ -40,6 +40,7 @@ MODALITY_SHAPES = {
     "oxy": (NIRS_CHANNELS, NIRS_WINDOW),
     "deoxy": (NIRS_CHANNELS, NIRS_WINDOW),
 }
+MODALITIES = tuple(MODALITY_SHAPES)
 
 
 class DataError(ValueError):
@@ -86,11 +87,17 @@ class SegmentDataset:
 
     def __post_init__(self):
         n = len(self.labels)
-        for name in ("eeg", "oxy", "deoxy", "trial_ids", "offsets", "subjects"):
+        for name in (*MODALITIES, "trial_ids", "offsets", "subjects"):
             if len(getattr(self, name)) != n:
                 raise DataError(f"dataset column {name} has length {len(getattr(self, name))}, expected {n}")
         if self.planted is not None and len(self.planted) != n:
             raise DataError("planted amplitudes length mismatch")
+        # folds, trial votes and shuffled labels take a trial's label and subject from any one segment
+        order = np.argsort(self.trial_ids, kind="stable")
+        tid, lab, subj = (np.asarray(col)[order] for col in (self.trial_ids, self.labels, self.subjects))
+        bad = np.flatnonzero((tid[1:] == tid[:-1]) & ((lab[1:] != lab[:-1]) | (subj[1:] != subj[:-1])))
+        if len(bad):
+            raise DataError(f"trial {tid[bad[0]]} has segments of more than one label or subject")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -105,10 +112,9 @@ class SegmentDataset:
         return [seen[t] for t in sorted(seen)]
 
     def modality(self, name: str) -> np.ndarray:
-        try:
-            return {"eeg": self.eeg, "oxy": self.oxy, "deoxy": self.deoxy}[name]
-        except KeyError:
-            raise DataError(f"unknown modality {name!r}") from None
+        if name not in MODALITIES:
+            raise DataError(f"unknown modality {name!r}")
+        return getattr(self, name)
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +215,6 @@ class SynthSpec:
         if self.n_subjects < 1 or self.n_subjects > self.n_trials:
             raise DataError("n_subjects must be in 1..n_trials")
 
-    def to_dict(self) -> dict:
-        return {
-            "generator": self.generator, "n_trials": self.n_trials,
-            "segments_per_trial": self.segments_per_trial, "noise": self.noise,
-            "n_subjects": self.n_subjects,
-        }
-
 
 def _patterns(rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Per-modality channel patterns, constant over time, mixed signs."""
@@ -259,15 +258,14 @@ def synth_dataset(spec: SynthSpec, seed: int) -> SegmentDataset:
     row = 0
     for trial in range(n):
         for _ in range(spec.segments_per_trial):
-            for m, name in enumerate(("eeg", "oxy", "deoxy")):
+            for m, name in enumerate(MODALITIES):
                 noise = noise_rng.standard_normal(MODALITY_SHAPES[name])
                 cols[name][row] = amps[trial, m] * patterns[name] + spec.noise * noise
             row += 1
 
     per_trial = spec.segments_per_trial
     return SegmentDataset(
-        eeg=cols["eeg"], oxy=cols["oxy"], deoxy=cols["deoxy"],
-        labels=np.repeat(labels_trial, per_trial),
+        **cols, labels=np.repeat(labels_trial, per_trial),
         trial_ids=np.repeat(np.arange(n, dtype=np.int64), per_trial),
         offsets=np.tile(np.arange(per_trial, dtype=np.int64), n),
         subjects=np.repeat(np.array([f"s{t % spec.n_subjects:02d}" for t in range(n)]), per_trial),
@@ -327,7 +325,7 @@ def fold_indices(dataset: SegmentDataset, plan: FoldPlan, fold: int) -> tuple[np
 # manifests
 
 MANIFEST_NAME = "manifest.json"
-SEGMENT_ARRAYS = {"eeg": "eeg.ten", "oxy": "oxy.ten", "deoxy": "deoxy.ten"}
+SEGMENT_ARRAYS = {m: f"{m}.ten" for m in MODALITIES}
 
 
 def save_segments_manifest(dataset: SegmentDataset, outdir) -> str:
@@ -356,10 +354,9 @@ def save_trials_manifest(trials: list[TrialRecording], outdir) -> str:
     entries = []
     for rec in trials:
         base = f"trial{rec.trial_id:04d}"
-        files = {"eeg": f"{base}_eeg.ten", "oxy": f"{base}_oxy.ten", "deoxy": f"{base}_deoxy.ten"}
-        save_tensor(os.path.join(outdir, files["eeg"]), rec.eeg)
-        save_tensor(os.path.join(outdir, files["oxy"]), rec.oxy)
-        save_tensor(os.path.join(outdir, files["deoxy"]), rec.deoxy)
+        files = {m: f"{base}_{m}.ten" for m in MODALITIES}
+        for m, fname in files.items():
+            save_tensor(os.path.join(outdir, fname), getattr(rec, m))
         entries.append({
             "trial_id": int(rec.trial_id), "subject": str(rec.subject), "task": rec.task,
             "label": int(rec.label), "onset_sample": int(rec.onset_sample), **files,
@@ -398,8 +395,8 @@ def _load_entry_tensor(base: str, entry: dict, key: str, problems: list[str], la
     return arr
 
 
-def load_manifest(path) -> SegmentDataset:
-    """Load a trials or segments manifest; raises with every violation listed."""
+def _read_manifest(path) -> tuple[str, dict]:
+    """The directory that a manifest's file references are relative to, and its document."""
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
     if (why := file_problem(path)) is not None:
@@ -411,13 +408,32 @@ def load_manifest(path) -> SegmentDataset:
             raise ManifestError([f"manifest is not valid JSON: {exc}"]) from None
     if not isinstance(doc, dict):
         raise ManifestError(["manifest must hold a JSON object"])
-    base = os.path.dirname(os.path.abspath(path))
+    return os.path.dirname(os.path.abspath(path)), doc
+
+
+def load_manifest(path) -> SegmentDataset:
+    """Load a trials or segments manifest; raises with every violation listed."""
+    base, doc = _read_manifest(path)
     kind = doc.get("kind")
     if kind == "segments":
         return _load_segments(base, doc)
     if kind == "trials":
         return _load_trials(base, doc)
     raise ManifestError([f"unknown manifest kind {kind!r}"])
+
+
+def manifest_payloads(path) -> list[str]:
+    """The payload files that a trials or segments manifest names, as paths. A
+    manifest that cannot be read names none: ``load_manifest`` says why."""
+    try:
+        base, doc = _read_manifest(path)
+    except ManifestError:
+        return []
+    entries = [doc.get("arrays")] if doc.get("kind") == "segments" else doc.get("trials")
+    if not isinstance(entries, list):
+        return []
+    return [os.path.join(base, entry[m]) for entry in entries if isinstance(entry, dict)
+            for m in MODALITIES if isinstance(entry.get(m), str)]
 
 
 def _entry_ok(entry, label: str, ints: tuple[str, ...], problems: list[str]) -> bool:
@@ -452,7 +468,7 @@ def _load_segments(base: str, doc: dict) -> SegmentDataset:
     # mapped, not read: _all_finite is then the one pass over each payload, and the
     # columns are read-only views of the files
     arrays = {name: _load_entry_tensor(base, refs, name, problems, "arrays", mapped=True)
-              for name in ("eeg", "oxy", "deoxy")}
+              for name in MODALITIES}
     metas = _field(doc, "segments", list, problems)
     n = len(metas)
     for name, arr in arrays.items():
@@ -467,8 +483,11 @@ def _load_segments(base: str, doc: dict) -> SegmentDataset:
         raise ManifestError(problems)
     labels, trial_ids, offsets = (np.array([meta[k] for meta in metas], dtype=np.int64)
                                   for k in ("label", "trial_id", "offset"))
-    return SegmentDataset(arrays["eeg"], arrays["oxy"], arrays["deoxy"], labels, trial_ids, offsets,
-                          np.array([meta["subject"] for meta in metas]))
+    try:
+        return SegmentDataset(**arrays, labels=labels, trial_ids=trial_ids, offsets=offsets,
+                              subjects=np.array([meta["subject"] for meta in metas]))
+    except DataError as exc:  # a trial whose segments disagree on its label or subject
+        raise ManifestError([str(exc)]) from None
 
 
 def _load_trials(base: str, doc: dict) -> SegmentDataset:
@@ -488,12 +507,11 @@ def _load_trials(base: str, doc: dict) -> SegmentDataset:
             problems.append(f"{label_tag}: task must be one of {TASKS}, got {task!r}")
         # read, not mapped: a mapping holds a descriptor, and every trial's three
         # stay loaded until segment_trials copies their windows out
-        eeg, oxy, deoxy = (_load_entry_tensor(base, entry, key, problems, label_tag, mapped=False)
-                           for key in ("eeg", "oxy", "deoxy"))
-        if eeg is None or oxy is None or deoxy is None:
+        arrays = {m: _load_entry_tensor(base, entry, m, problems, label_tag, mapped=False) for m in MODALITIES}
+        if any(arr is None for arr in arrays.values()):
             continue
         rec = TrialRecording(trial_id=tid, subject=entry["subject"], task=task, label=entry["label"],
-                             eeg=eeg, oxy=oxy, deoxy=deoxy, onset_sample=entry["onset_sample"])
+                             onset_sample=entry["onset_sample"], **arrays)
         if (problem := _trial_problem(rec)) is not None:
             problems.append(f"{label_tag}: {problem}")
         else:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -105,16 +105,7 @@ class FusionSpec:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_dims": list(self.input_dims),
-            "output_dim": self.output_dim,
-            "rank": self.rank,
-            "order": self.order,
-            "symmetric": self.symmetric,
-            "path": self.path,
-            "augment_one": self.augment_one,
-        }
+        return {**asdict(self), "input_dims": list(self.input_dims)}
 
 
 def param_shapes(spec: FusionSpec) -> dict[str, tuple[int, ...]]:

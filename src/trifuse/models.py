@@ -23,18 +23,19 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 
 from . import autodiff as ad
 from . import ops
 from .autodiff import value_of
+from .data import EEG_CHANNELS, MODALITIES, NIRS_CHANNELS
 from .fusion import MATERIALIZE_LIMIT, FusionSpec, FusionSpecError, MaterializeError, fuse, init_fusion_params
 from .fusion import param_count as fusion_param_count, param_shapes as fusion_param_shapes
 from .ops import BatchNormState, conv_out_length
 from .tensor import ShapeError, file_problem, load_tensor, save_tensor
 
-MODALITIES = ("eeg", "oxy", "deoxy")
 N_CLASSES = 2
 
 EEG_GEOMETRY = [(9, 4, 0), (3, 1, 0), (3, 1, 0), (9, 4, 0), (3, 1, 0), (3, 1, 0)]
@@ -42,7 +43,12 @@ EEG_WIDTHS = [60, 60, 60, 120, 120, 120]
 NIRS_GEOMETRY = [(5, 2, 0), (3, 1, 0), (3, 1, 0), (3, 1, 0), (3, 1, 0), (3, 1, 0)]
 NIRS_WIDTHS = [72, 72, 72, 144, 144, 144]
 
-PROFILE_DIVISOR = {"full": 1, "desk": 6}
+# full is the reference protocol; desk divides the conv widths and shrinks the
+# default epochs and fused vector for laptop-scale runs
+PROFILES = {
+    "full": {"divisor": 1, "epochs": 300, "output_dim": 128},
+    "desk": {"divisor": 6, "epochs": 30, "output_dim": 16},
+}
 
 
 class ModelError(ValueError):
@@ -51,13 +57,13 @@ class ModelError(ValueError):
 
 def extractor_plan(modality: str, profile: str = "full") -> dict:
     """Block list for one extractor: in_channels plus per-block conv settings."""
-    if profile not in PROFILE_DIVISOR:
+    if profile not in tuple(PROFILES):
         raise ModelError(f"unknown profile {profile!r}")
-    div = PROFILE_DIVISOR[profile]
+    div = PROFILES[profile]["divisor"]
     if modality == "eeg":
-        in_ch, widths, geometry = 30, EEG_WIDTHS, EEG_GEOMETRY
+        in_ch, widths, geometry = EEG_CHANNELS, EEG_WIDTHS, EEG_GEOMETRY
     elif modality in ("oxy", "deoxy"):
-        in_ch, widths, geometry = 36, NIRS_WIDTHS, NIRS_GEOMETRY
+        in_ch, widths, geometry = NIRS_CHANNELS, NIRS_WIDTHS, NIRS_GEOMETRY
     else:
         raise ModelError(f"unknown modality {modality!r}")
     blocks = [
@@ -105,7 +111,7 @@ TINY_INPUT_LENGTHS = {"eeg": 30, "oxy": 10, "deoxy": 10}
 
 SPEC_KEYS = ("type", "modality", "profile", "fusion", "l2_normalize")
 BLOCK_KEYS = ("out_channels", "filter", "stride", "padding")
-FUSION_KEYS = ("kind", "output_dim", "rank", "order", "symmetric", "path", "augment_one")
+FUSION_KEYS = tuple(f.name for f in fields(FusionSpec) if f.name != "input_dims")  # input_dims come from the plans
 
 
 def topology(spec: dict, plans: dict | None = None) -> dict:
@@ -121,8 +127,8 @@ def topology(spec: dict, plans: dict | None = None) -> dict:
     if not isinstance(spec, dict) or not set(spec) <= set(SPEC_KEYS):
         raise ModelError(f"model spec must be a dict with keys from {SPEC_KEYS}, got {spec!r}")
     kind, profile, modality = spec.get("type"), spec.get("profile", "full"), spec.get("modality")
-    if profile not in tuple(PROFILE_DIVISOR):
-        raise ModelError(f"profile must be one of {tuple(PROFILE_DIVISOR)}, got {profile!r}")
+    if profile not in tuple(PROFILES):
+        raise ModelError(f"profile must be one of {tuple(PROFILES)}, got {profile!r}")
     if kind not in ("single", "fused"):
         raise ModelError(f"model spec type must be 'single' or 'fused', got {kind!r}")
     foreign = ("fusion", "l2_normalize") if kind == "single" else ("modality",)

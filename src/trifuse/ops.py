@@ -127,8 +127,8 @@ class BatchNormState:
     momentum: float = 0.1
 
     @classmethod
-    def fresh(cls, channels: int, eps: float = 1e-5, momentum: float = 0.1) -> "BatchNormState":
-        return cls(np.zeros(channels), np.ones(channels), eps, momentum)
+    def fresh(cls, channels: int) -> "BatchNormState":
+        return cls(np.zeros(channels), np.ones(channels))
 
 
 def batchnorm_train(x, gamma, beta, state: BatchNormState):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import ops
-from .data import SegmentDataset, _all_finite, fold_indices, make_folds
+from .data import MODALITIES, SegmentDataset, _all_finite, fold_indices, make_folds
 from .models import ModelGraph, build_from_spec
 
 
@@ -57,10 +57,7 @@ ADAM_CHUNK = 1 << 14
 class AdamState:
     m: np.ndarray  # the moments, flat as the parameters
     v: np.ndarray
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    config: TrainConfig  # the run whose lr, beta1, beta2 and eps the updates use
     step: int = 0
     # two work rows of ADAM_CHUNK entries, reused by every update
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_CHUNK)), init=False, repr=False,
@@ -68,7 +65,7 @@ class AdamState:
 
     @classmethod
     def for_config(cls, config: TrainConfig, size: int) -> "AdamState":
-        return cls(np.zeros(size), np.zeros(size), config.lr, config.beta1, config.beta2, config.eps)
+        return cls(np.zeros(size), np.zeros(size), config)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, named: dict[str, np.ndarray]) -> AdamState:
@@ -87,20 +84,21 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, named: di
             name = list(named)[int(np.searchsorted(np.cumsum(sizes), bad, side="right"))]
             raise FloatingPointError(f"non-finite gradient for parameter {name!r} at step {t}")
     state.step = t
+    lr, beta1, beta2, eps = (getattr(state.config, k) for k in ("lr", "beta1", "beta2", "eps"))
     for s in range(0, params.size, ADAM_CHUNK):
         p1, g1, m, v = (arr[s:s + ADAM_CHUNK] for arr in (params, grads, state.m, state.v))
         a, b = state.scratch[0, :p1.size], state.scratch[1, :p1.size]
         # p -= lr * m_hat / (sqrt(v_hat) + eps), one ufunc at a time through the scratch rows
-        m *= state.beta1
-        m += np.multiply(g1, 1.0 - state.beta1, out=a)
-        v *= state.beta2
-        np.multiply(g1, 1.0 - state.beta2, out=a)
+        m *= beta1
+        m += np.multiply(g1, 1.0 - beta1, out=a)
+        v *= beta2
+        np.multiply(g1, 1.0 - beta2, out=a)
         v += np.multiply(a, g1, out=a)
-        np.divide(m, 1.0 - state.beta1**t, out=a)
-        a *= state.lr
-        np.divide(v, 1.0 - state.beta2**t, out=b)
+        np.divide(m, 1.0 - beta1**t, out=a)
+        a *= lr
+        np.divide(v, 1.0 - beta2**t, out=b)
         np.sqrt(b, out=b)
-        b += state.eps
+        b += eps
         p1 -= np.divide(a, b, out=a)
     return state
 
@@ -113,6 +111,16 @@ def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarra
 
 # ---------------------------------------------------------------------------
 # reports
+
+def _str_keys(doc):
+    """``doc`` with every dict key a string, as JSON writes it. Offsets are int
+    keys: sorted before they became strings, -10..22 would sort as numbers."""
+    if isinstance(doc, dict):
+        return {str(k): _str_keys(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_str_keys(v) for v in doc]
+    return doc
+
 
 @dataclass
 class TrainReport:
@@ -127,14 +135,7 @@ class TrainReport:
     fold: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "losses": self.losses, "n_train": self.n_train, "n_test": self.n_test,
-            "test_accuracy": self.test_accuracy,
-            "per_offset": {str(k): v for k, v in sorted(self.per_offset.items())},
-            "per_subject": dict(sorted(self.per_subject.items())),
-            "trial_accuracy": self.trial_accuracy,
-            "fingerprint": self.fingerprint, "fold": self.fold,
-        }
+        return _str_keys(asdict(self))
 
 
 @dataclass
@@ -152,19 +153,7 @@ class CvReport:
     fingerprint: dict
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k, "fold_accuracies": self.fold_accuracies,
-            "mean_accuracy": self.mean_accuracy, "std_accuracy": self.std_accuracy,
-            "per_offset": {str(k): v for k, v in sorted(self.per_offset.items())},
-            "per_subject": dict(sorted(self.per_subject.items())),
-            "subject_average": self.subject_average,
-            "trial_accuracies": self.trial_accuracies,
-            "loss_history": self.loss_history,
-            "fold_per_offset": [
-                {str(k): v for k, v in sorted(d.items())} for d in self.fold_per_offset
-            ],
-            "fingerprint": self.fingerprint,
-        }
+        return _str_keys(asdict(self))
 
 
 def write_report(report, path) -> None:
@@ -187,8 +176,8 @@ def write_fold_offset_csv(report: CvReport, path) -> None:
 
 def _model_inputs(model: ModelGraph, dataset: SegmentDataset, idx: np.ndarray):
     if model.topology["type"] == "single":
-        return dataset.modality(model.topology["modality"])[idx]
-    return (dataset.eeg[idx], dataset.oxy[idx], dataset.deoxy[idx])
+        return getattr(dataset, model.topology["modality"])[idx]
+    return tuple(getattr(dataset, m)[idx] for m in MODALITIES)
 
 
 def _batch_plan(n: int, batch_size: int) -> list[slice]:

@@ -315,6 +315,23 @@ class TestCvFailsClosed:
         assert "non-finite logits" in proc.stderr
         assert not out.exists()
 
+    def test_trial_of_two_labels_or_subjects_is_one_line_data_error(self, tmp_path, capsys):
+        # segment 1 (trial 0) gets another label, segment 3 (trial 1) another subject
+        ds = tmp_path / "ds"
+        assert run("synth", "--synth", "additive", "--trials", "16", "--segments-per-trial", "2",
+                   "--subjects", "2", "--out", str(ds)) == 0
+        doc = json.loads((ds / "manifest.json").read_text())
+        doc["segments"][1]["label"] = 1 - doc["segments"][1]["label"]
+        doc["segments"][3]["subject"] = "s07"
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "cv"
+        assert run("cv", "--data", str(ds), "--model", "oxy", "--profile", "desk", "--epochs", "1",
+                   "--k", "4", "--trial-vote", "--out", str(out)) == 3
+        assert capsys.readouterr().err == ("error: manifest validation failed: "
+                                           "trial 0 has segments of more than one label or subject\n")
+        assert not out.exists()
+
     def test_dead_fold_worker_is_one_line_runtime_error(self, tmp_path):
         out = tmp_path / "cv"
         kill = ("import os, signal\nfrom trifuse import train\n"
@@ -510,6 +527,25 @@ class TestUsageErrors:
         assert err.count("\n") == 1 and "no trifuse command wrote" in err
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
         assert not [p for p in tmp_path.rglob("*") if p.name.startswith((".tmp-", ".old-"))]
+
+    @pytest.mark.parametrize("command", ["train", "cv", "segment"])
+    def test_out_holding_the_data_payloads_is_refused(self, tmp_path, capsys, command):
+        # payloads/ is a whole segments set, and meta/manifest.json reads its arrays through
+        # ../payloads/: the swap would replace payloads/ and leave meta unloadable
+        payloads, meta = tmp_path / "payloads", tmp_path / "meta"
+        assert run("synth", "--synth", "additive", "--trials", "16", "--seed", "5", "--out", str(payloads)) == 0
+        doc = json.loads((payloads / "manifest.json").read_text())
+        doc["arrays"] = {k: f"../payloads/{v}" for k, v in doc["arrays"].items()}
+        meta.mkdir()
+        (meta / "manifest.json").write_text(json.dumps(doc))
+        flags = ["--data", str(meta)] if command == "segment" else run_flags(command, meta)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run(command, *flags, "--out", str(payloads)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "a payload of the data manifest" in err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert not [p for p in tmp_path.rglob("*") if p.name.startswith((".tmp-", ".old-"))]
+        assert len(data.load_manifest(meta)) == 16
 
     @pytest.mark.parametrize("command", ["synth", "train", "cv"])
     def test_rerun_replaces_a_previous_output(self, synth_manifest, tmp_path, command):

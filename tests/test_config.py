@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trifuse import config
+from trifuse import config, data, models
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -76,3 +77,42 @@ def test_mistyped_settings_are_config_errors(tmp_path, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(config.ConfigError):
         config.resolve(str(path))
+
+
+def test_key_sets_are_the_ones_written_out_before():
+    # derived from the dataclass fields now: a field added there is a config key at once
+    assert config.TRAIN_KEYS == {"epochs", "batch_size", "lr", "beta1", "beta2", "eps", "shuffle", "eval_batch",
+                                 "trial_vote"}
+    assert config.SYNTH_KEYS == {"generator", "n_trials", "segments_per_trial", "noise", "n_subjects"}
+    assert models.FUSION_KEYS == ("kind", "output_dim", "rank", "order", "symmetric", "path", "augment_one")
+    assert config.PROFILES == ("full", "desk")
+
+
+@pytest.mark.parametrize("profile, epochs, output_dim", [("full", 300, 128), ("desk", 30, 16)])
+def test_profile_defaults(profile, epochs, output_dim):
+    cfg = config.resolve(overrides={"profile": profile, "model": {"type": "fused", "fusion": {"kind": "LF"}}})
+    assert (cfg.train.epochs, cfg.model["fusion"]["output_dim"]) == (epochs, output_dim)
+    assert (cfg.task, cfg.seed, cfg.jobs, cfg.k) == ("run", 0, 1, 5)
+
+
+class TestShuffleLabels:
+    @staticmethod
+    def load(segments_per_trial: int, shuffle: bool | None) -> data.SegmentDataset:
+        synth = {"generator": "additive", "n_trials": 12, "segments_per_trial": segments_per_trial,
+                 "n_subjects": 2}
+        return config.load_dataset(config.resolve(overrides={"synth": synth, "shuffle_labels": shuffle}))
+
+    def test_every_trial_keeps_one_label(self):
+        # permuting segment labels gave trial 0's four segments the labels [1 0 1 0]
+        shuffled, plain = self.load(4, True), self.load(4, None)
+        for tid in np.unique(shuffled.trial_ids):
+            assert len(set(shuffled.labels[shuffled.trial_ids == tid].tolist())) == 1
+        assert np.array_equal(shuffled.trial_ids, plain.trial_ids)
+        assert sorted(t[2] for t in shuffled.trials()) == sorted(t[2] for t in plain.trials())
+        assert not np.array_equal(shuffled.labels, plain.labels)
+        data.make_folds(shuffled, k=3)
+
+    def test_one_segment_per_trial_permutes_as_segments_did(self):
+        shuffled, plain = self.load(1, True), self.load(1, None)
+        rng = np.random.default_rng(0 + 1)  # the data seed defaults to the run seed, 0
+        assert shuffled.labels.tobytes() == rng.permutation(plain.labels).tobytes()

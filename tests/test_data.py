@@ -4,7 +4,7 @@ import copy
 import gc
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -387,6 +387,53 @@ class TestManifests:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(data.ManifestError, match="does not exist"):
             data.load_manifest(tmp_path / "nope")
+
+
+class TestOneLabelPerTrial:
+    @staticmethod
+    def columns(ds: data.SegmentDataset) -> dict:
+        return {f.name: getattr(ds, f.name) for f in fields(ds)}
+
+    @pytest.mark.parametrize("column, value", [("labels", 0), ("subjects", "s09")])
+    def test_a_trial_of_two_is_refused(self, column, value):
+        cols = self.columns(tiny_dataset(n_trials=6, segments_per_trial=3, n_subjects=2))
+        cols[column] = cols[column].copy()
+        cols[column][4] = value  # trial 1 holds rows 3..5 and label 1, subject s01
+        with pytest.raises(data.DataError, match="^trial 1 has segments of more than one label or subject$"):
+            data.SegmentDataset(**cols)
+
+    def test_interleaved_rows_of_consistent_trials_are_accepted(self):
+        cols = self.columns(tiny_dataset(n_trials=6, segments_per_trial=3, n_subjects=2))
+        rows = np.random.default_rng(0).permutation(len(cols["labels"]))
+        ds = data.SegmentDataset(**{k: None if v is None else v[rows] for k, v in cols.items()})
+        assert len(ds.trials()) == 6
+
+    def test_segments_manifest_is_refused_naming_the_trial(self, tmp_path):
+        ds = data.synth_dataset(data.SynthSpec("additive", n_trials=4, segments_per_trial=2, n_subjects=2), seed=3)
+        data.save_segments_manifest(ds, tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        doc["segments"][1]["label"] = 1 - doc["segments"][1]["label"]
+        doc["segments"][3]["subject"] = "s07"
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(data.ManifestError) as err:
+            data.load_manifest(tmp_path)
+        assert err.value.problems == ["trial 0 has segments of more than one label or subject"]
+
+
+class TestManifestPayloads:
+    def test_segments_and_trials_payloads(self, tmp_path):
+        data.save_segments_manifest(data.synth_dataset(data.SynthSpec("additive", n_trials=2), seed=3), tmp_path / "s")
+        data.save_trials_manifest([make_trial(trial_id=i, seed=i) for i in range(2)], tmp_path / "t")
+        assert data.manifest_payloads(tmp_path / "s") == [str(tmp_path / "s" / f"{m}.ten") for m in data.MODALITIES]
+        assert data.manifest_payloads(tmp_path / "t" / "manifest.json") == [
+            str(tmp_path / "t" / f"trial{i:04d}_{m}.ten") for i in range(2) for m in data.MODALITIES]
+
+    @pytest.mark.parametrize("text", ["[1]", "{", '{"kind": "trials", "trials": 5}',
+                                      '{"kind": "segments", "arrays": [1]}', '{"kind": "trials", "trials": [1, {}]}'])
+    def test_an_unreadable_manifest_names_none(self, tmp_path, text):
+        (tmp_path / "manifest.json").write_text(text)
+        assert data.manifest_payloads(tmp_path) == []
+        assert data.manifest_payloads(tmp_path / "missing") == []
 
 
 def _fd_count() -> int:

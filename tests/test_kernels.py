@@ -977,7 +977,7 @@ def dict_train_steps(model, dataset, train_idx, config) -> list[float]:
 
 
 def zero_adam(size: int, lr: float = 0.001) -> AdamState:
-    return AdamState(np.zeros(size), np.zeros(size), lr=lr)
+    return AdamState.for_config(train.TrainConfig(lr=lr), size)
 
 
 def flatten(params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -1065,7 +1065,7 @@ class TestAdam:
 
     def test_moments_of_another_length_are_refused(self):
         flat, named = flatten({"a": np.ones(4)})
-        for state in (zero_adam(3), AdamState(np.zeros(4), np.zeros(5))):
+        for state in (zero_adam(3), AdamState(np.zeros(4), np.zeros(5), train.TrainConfig())):
             with pytest.raises(ValueError, match="moments"):
                 adam_step(flat, np.ones(4), state, named)
         assert np.array_equal(flat, np.ones(4))
