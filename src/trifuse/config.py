@@ -65,7 +65,7 @@ def _is_number(value) -> bool:
 @dataclass
 class RunConfig:
     task: str = "run"
-    profile: str = "full"
+    profile: str = models.DEFAULT_PROFILE
     seed: int = 0
     jobs: int = 1
     k: int = 5
@@ -151,8 +151,7 @@ def resolve(path: str | None = None, overrides: dict | None = None) -> RunConfig
         if key in overrides:
             train_doc[key] = overrides[key]
     train_cfg = TrainConfig(seed=seed, **train_doc)
-    for key in ("epochs", "eval_batch"):
-        _int(getattr(train_cfg, key), 1, f"train.{key}")
+    _int(train_cfg.epochs, 1, "train.epochs")
     _int(train_cfg.batch_size, 2, "train.batch_size")  # batch norm needs two samples
     for key in ("lr", "eps"):
         value = getattr(train_cfg, key)

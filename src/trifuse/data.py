@@ -416,7 +416,10 @@ def load_manifest(path) -> SegmentDataset:
     base, doc = _read_manifest(path)
     kind = doc.get("kind")
     if kind == "segments":
-        return _load_segments(base, doc)
+        dataset = _load_segments(base, doc)
+        if not len(dataset):  # nothing to train or fold; refused here, before a run starts
+            raise ManifestError([f"manifest {path} holds no segments"])
+        return dataset
     if kind == "trials":
         return _load_trials(base, doc)
     raise ManifestError([f"unknown manifest kind {kind!r}"])

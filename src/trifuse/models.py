@@ -43,19 +43,20 @@ EEG_WIDTHS = [60, 60, 60, 120, 120, 120]
 NIRS_GEOMETRY = [(5, 2, 0), (3, 1, 0), (3, 1, 0), (3, 1, 0), (3, 1, 0), (3, 1, 0)]
 NIRS_WIDTHS = [72, 72, 72, 144, 144, 144]
 
-# full is the reference protocol; desk divides the conv widths and shrinks the
+# full is the reference protocol and the default; desk divides the conv widths and shrinks the
 # default epochs and fused vector for laptop-scale runs
 PROFILES = {
     "full": {"divisor": 1, "epochs": 300, "output_dim": 128},
     "desk": {"divisor": 6, "epochs": 30, "output_dim": 16},
 }
+DEFAULT_PROFILE = "full"
 
 
 class ModelError(ValueError):
     pass
 
 
-def extractor_plan(modality: str, profile: str = "full") -> dict:
+def extractor_plan(modality: str, profile: str = DEFAULT_PROFILE) -> dict:
     """Block list for one extractor: in_channels plus per-block conv settings."""
     if profile not in tuple(PROFILES):
         raise ModelError(f"unknown profile {profile!r}")
@@ -88,7 +89,7 @@ def feature_length(plan: dict) -> int:
     return plan["blocks"][-1]["out_channels"]
 
 
-def extractor_plans(profile: str = "full") -> dict:
+def extractor_plans(profile: str = DEFAULT_PROFILE) -> dict:
     return {m: extractor_plan(m, profile) for m in MODALITIES}
 
 
@@ -126,7 +127,7 @@ def topology(spec: dict, plans: dict | None = None) -> dict:
     """
     if not isinstance(spec, dict) or not set(spec) <= set(SPEC_KEYS):
         raise ModelError(f"model spec must be a dict with keys from {SPEC_KEYS}, got {spec!r}")
-    kind, profile, modality = spec.get("type"), spec.get("profile", "full"), spec.get("modality")
+    kind, profile, modality = spec.get("type"), spec.get("profile", DEFAULT_PROFILE), spec.get("modality")
     if profile not in tuple(PROFILES):
         raise ModelError(f"profile must be one of {tuple(PROFILES)}, got {profile!r}")
     if kind not in ("single", "fused"):

@@ -10,6 +10,7 @@ shrinks epochs and model widths for laptop-scale runs.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -19,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import ops
 from .data import MODALITIES, SegmentDataset, _all_finite, fold_indices, make_folds
-from .models import ModelGraph, build_from_spec
+from .models import DEFAULT_PROFILE, PROFILES, ModelGraph, build_from_spec
 
 
 class TrainingDiverged(RuntimeError):
@@ -33,7 +34,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    epochs: int = 300
+    epochs: int = PROFILES[DEFAULT_PROFILE]["epochs"]
     batch_size: int = 16
     lr: float = 0.001
     beta1: float = 0.9
@@ -41,7 +42,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     shuffle: bool = True
-    eval_batch: int = 256
     trial_vote: bool = False  # also report majority vote over each trial's segments
 
 
@@ -195,7 +195,7 @@ def _batch_plan(n: int, batch_size: int) -> list[slice]:
 # checks report in one message; numpy's warnings would only add lines to stderr
 @np.errstate(over="ignore", invalid="ignore")
 def predict_labels(model: ModelGraph, dataset: SegmentDataset, idx: np.ndarray,
-                   eval_batch: int = 256) -> np.ndarray:
+                   eval_batch: int = TrainConfig.batch_size) -> np.ndarray:
     """Eval predictions for the given segment indices."""
     preds = np.empty(len(idx), dtype=np.int64)
     for s in range(0, len(idx), eval_batch):
@@ -211,7 +211,7 @@ def _breakdown(correct: np.ndarray, offsets: np.ndarray, subjects: np.ndarray) -
 
 
 def evaluate(model: ModelGraph, dataset: SegmentDataset, idx: np.ndarray,
-             eval_batch: int = 256, trial_vote: bool = False) -> dict:
+             eval_batch: int = TrainConfig.batch_size, trial_vote: bool = False) -> dict:
     """Segment-level accuracy, split by window offset and by subject."""
     idx = np.asarray(idx)
     preds = predict_labels(model, dataset, idx, eval_batch)
@@ -287,8 +287,8 @@ def _train(model: ModelGraph, dataset: SegmentDataset, split, config: TrainConfi
         name, p = next((k, p) for k, p in model.params.items() if not _all_finite(p))
         raise TrainingDiverged(config.epochs - 1, float(np.max(np.abs(p))), f"parameter {name!r}")
 
-    if len(test_idx):
-        stats = evaluate(model, dataset, test_idx, config.eval_batch, config.trial_vote)
+    if len(test_idx):  # in chunks no larger than a training batch, which bounds the im2col buffers too
+        stats = evaluate(model, dataset, test_idx, config.batch_size, config.trial_vote)
     else:
         stats = {"accuracy": None, "per_offset": {}, "per_subject": {}, "trial_accuracy": None,
                  "correct": np.zeros(0, dtype=bool)}
@@ -308,6 +308,27 @@ def _fold_seed(base_seed: int, fold: int) -> int:
     return int(np.random.SeedSequence(base_seed, spawn_key=(fold,)).generate_state(1)[0])
 
 
+def blas_threads(n: int | None = None) -> int | None:
+    """The thread count of the OpenBLAS this process has loaded, set to ``n`` first
+    when ``n`` is given. None, and nothing set, where no OpenBLAS setter is found:
+    another BLAS, or a system without ``/proc/self/maps``."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    # numpy's wheel renames OpenBLAS's symbols; a system OpenBLAS keeps its own
+    for lib in libs:
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get, put = (getattr(lib, f"{prefix}_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                if n is not None and n != get():  # after a fork, any set restarts the thread pool
+                    put(n)
+                return get()
+    return None
+
+
 # a cv pool worker's dataset, set once by _init_fold_worker; its tasks carry None
 # in the dataset slot. It stays None in the process that calls cross_validate.
 _worker_dataset: SegmentDataset | None = None
@@ -316,6 +337,7 @@ _worker_dataset: SegmentDataset | None = None
 def _init_fold_worker(dataset: SegmentDataset) -> None:
     global _worker_dataset
     _worker_dataset = dataset
+    blas_threads(1)  # a spawned worker's own; see cross_validate
 
 
 def _run_fold(args):
@@ -347,12 +369,20 @@ def cross_validate(model_spec: dict, dataset: SegmentDataset, k: int = 5,
         assert fold_set == {fold} and len(np.intersect1d(train_idx, test_idx)) == 0
         tasks.append((model_spec, task_dataset, train_idx, test_idx, config, fold))
 
-    if jobs > 1:  # a pool starts all its workers at once: no more than there are folds
-        with ProcessPoolExecutor(max_workers=min(jobs, k), initializer=_init_fold_worker,
-                                 initargs=(dataset,)) as pool:
-            results = list(pool.map(_run_fold, tasks))
-    else:
-        results = [_run_fold(t) for t in tasks]
+    # every fold runs on one BLAS thread, in a worker or here, so the parallelism is the
+    # workers' alone and a report is the same bytes at any --jobs and host thread count.
+    # A forked worker inherits the one thread and never starts a BLAS thread pool.
+    previous = blas_threads()
+    try:
+        blas_threads(1)
+        if jobs > 1:  # a pool starts all its workers at once: no more than there are folds
+            with ProcessPoolExecutor(max_workers=min(jobs, k), initializer=_init_fold_worker,
+                                     initargs=(dataset,)) as pool:
+                results = list(pool.map(_run_fold, tasks))
+        else:
+            results = [_run_fold(t) for t in tasks]
+    finally:
+        blas_threads(previous)  # None: nothing was found, nothing set
 
     all_correct = np.zeros(len(dataset), dtype=bool)
     covered = np.zeros(len(dataset), dtype=bool)

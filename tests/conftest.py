@@ -4,6 +4,16 @@ import signal
 
 import pytest
 
+from trifuse import train
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_kept():
+    """Put back the BLAS thread count a test found, for tests that set a caller's count."""
+    before = train.blas_threads()
+    yield
+    train.blas_threads(before)
+
 
 @pytest.fixture
 def fails_before_hanging():

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, artifacts, exit codes, idempotence."""
 
+import dataclasses
 import json
 import os
 import pickle
@@ -27,7 +28,7 @@ FAIL_CLOSED_PROBES = {
     "pf-order-over-guard": (["--model", "pf", "--order", "1000000000"], {}),
     "batch-size-0": (["--model", "oxy", "--batch-size", "0"], {}),
     "batch-size-1": (["--model", "oxy", "--batch-size", "1"], {}),
-    "eval-batch-0": (["--model", "oxy"], {"train": {"eval_batch": 0}}),
+    "eval-batch-0": (["--model", "oxy"], {"train": {"eval_batch": 0}}),  # no such key: chunks are batch_size
     "jobs-0": (["--model", "oxy", "--jobs", "0"], {}),
     "lr-nan": (["--model", "oxy", "--lr", "nan"], {}),
     "lr-inf": (["--model", "oxy", "--lr", "inf"], {}),
@@ -278,6 +279,23 @@ class TestCvCommand:
         assert code == 0
         assert (tmp_path / "envout" / "cv_report.json").exists()
 
+    def test_report_is_the_same_at_any_jobs_and_blas_thread_count(self, tmp_path):
+        # at full widths two DGEMMs of a PF3 step round differently on 1 and 2 BLAS
+        # threads; a desk run shows no difference, so this guard needs the full profile
+        argv = ["cv", "--synth", "interaction", "--trials", "160", "--profile", "full", "--model", "pf",
+                "--order", "3", "--rank", "16", "--symmetric", "--epochs", "1", "--k", "4"]
+        unset = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        reports = []
+        for name, jobs, env in (("serial", "1", unset), ("pool", "2", unset),
+                                ("pool-one-thread", "2", {**unset, "OPENBLAS_NUM_THREADS": "1"})):
+            proc = subprocess.run([sys.executable, "-m", "trifuse.cli", *argv, "--jobs", jobs,
+                                   "--out", str(tmp_path / name)], env={**env, "PYTHONPATH": str(ROOT / "src")},
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            reports.append((tmp_path / name / "cv_report.json").read_bytes())
+        # the fingerprint records --jobs: that line is the one the serial report may differ in
+        assert reports[0].replace(b'"jobs": 1,', b'"jobs": 2,') == reports[1] == reports[2]
+
 
 class TestCvFailsClosed:
     # every error class cli.main maps to an exit code, as a fold worker may raise it
@@ -330,6 +348,18 @@ class TestCvFailsClosed:
                    "--k", "4", "--trial-vote", "--out", str(out)) == 3
         assert capsys.readouterr().err == ("error: manifest validation failed: "
                                            "trial 0 has segments of more than one label or subject\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_manifest_of_no_segments_is_one_line_data_error(self, tmp_path, capsys, command):
+        full = data.synth_dataset(data.SynthSpec("additive", n_trials=4), seed=0)
+        empty = data.SegmentDataset(*(getattr(full, f.name)[:0] for f in dataclasses.fields(full)))
+        manifest = data.save_segments_manifest(empty, tmp_path / "empty")
+        capsys.readouterr()
+        out = tmp_path / command
+        assert run(command, "--data", manifest, "--model", "oxy", "--profile", "desk", "--epochs", "1",
+                   "--k", "4", "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: manifest validation failed: manifest {manifest} holds no segments\n"
         assert not out.exists()
 
     def test_dead_fold_worker_is_one_line_runtime_error(self, tmp_path):

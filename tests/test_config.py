@@ -81,8 +81,7 @@ def test_mistyped_settings_are_config_errors(tmp_path, doc):
 
 def test_key_sets_are_the_ones_written_out_before():
     # derived from the dataclass fields now: a field added there is a config key at once
-    assert config.TRAIN_KEYS == {"epochs", "batch_size", "lr", "beta1", "beta2", "eps", "shuffle", "eval_batch",
-                                 "trial_vote"}
+    assert config.TRAIN_KEYS == {"epochs", "batch_size", "lr", "beta1", "beta2", "eps", "shuffle", "trial_vote"}
     assert config.SYNTH_KEYS == {"generator", "n_trials", "segments_per_trial", "noise", "n_subjects"}
     assert models.FUSION_KEYS == ("kind", "output_dim", "rank", "order", "symmetric", "path", "augment_one")
     assert config.PROFILES == ("full", "desk")

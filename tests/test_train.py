@@ -339,3 +339,118 @@ class TestCrossValidation:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "fold,offset,accuracy"
         assert len(lines) == 1 + 3 * 2  # 3 folds x 2 offsets
+
+
+def predict_labels_in_256_chunks(model, dataset, idx, eval_batch=256):
+    """``train.predict_labels`` as it was when evaluation ran in chunks of 256, verbatim."""
+    preds = np.empty(len(idx), dtype=np.int64)
+    for s in range(0, len(idx), eval_batch):
+        chunk = idx[s:s + eval_batch]
+        preds[s:s + len(chunk)] = model.predict(train._model_inputs(model, dataset, chunk))
+    return preds
+
+
+DESK_EVAL_SPECS = {
+    "LF": {"type": "fused", "profile": "desk", "fusion": {"kind": "LF", "output_dim": 16}},
+    "TF": {"type": "fused", "profile": "desk", "fusion": {"kind": "TF", "rank": 16, "output_dim": 16}},
+    "PF2-full": {"type": "fused", "profile": "desk",
+                 "fusion": {"kind": "PF", "order": 2, "rank": 4, "path": "full", "output_dim": 16}},
+    "PF3-sym": PF3_DESK,
+    "eeg": {"type": "single", "modality": "eeg", "profile": "desk"},
+}
+
+
+class TestEvalChunks:
+    """Held-out segments are evaluated in chunks of the run's batch size, never more."""
+
+    def test_no_predict_call_sees_more_than_a_batch(self, monkeypatch):
+        sizes = []
+        predict = models.ModelGraph.predict
+
+        def recording(self, inputs):
+            sizes.append(len(inputs[0] if isinstance(inputs, tuple) else inputs))
+            return predict(self, inputs)
+
+        monkeypatch.setattr(models.ModelGraph, "predict", recording)
+        ds = small_dataset(n_trials=60)
+        for batch in (4, 16):
+            sizes.clear()
+            model = models.build_from_spec(PF3_DESK, seed=0)
+            report = train.train(model, ds, (np.arange(10), np.arange(10, 60)), TrainConfig(epochs=1, batch_size=batch))
+            assert report.n_test == 50 and sum(sizes) == 50
+            assert max(sizes) == batch
+
+    def test_evaluating_256_segments_holds_one_batch(self):
+        # a chunk of 256 desk segments gathers an 82 MB EEG window matrix; one of 16, 5 MB
+        import tracemalloc
+
+        ds = small_dataset(n_trials=288)
+        model = models.build_from_spec(DESK_EVAL_SPECS["TF"], seed=0)
+        tracemalloc.start()
+        try:
+            report = train.train(model, ds, (np.arange(32), np.arange(32, 288)), TrainConfig(epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_test == 256
+        assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("name", list(DESK_EVAL_SPECS))
+    def test_predictions_match_256_chunks(self, name):
+        ds = small_dataset(generator="interaction", n_trials=340)
+        model = models.build_from_spec(DESK_EVAL_SPECS[name], seed=3)
+        train.train(model, ds, (np.arange(40), np.arange(0)), TrainConfig(epochs=2, batch_size=8))
+        idx = np.arange(40, 340)
+        assert np.array_equal(train.predict_labels(model, ds, idx), predict_labels_in_256_chunks(model, ds, idx))
+        # logits move by a few ulp at most: BLAS blocks a product by its shape
+        small, large = (np.concatenate([model.forward(train._model_inputs(model, ds, idx[s:s + n]))
+                                        for s in range(0, len(idx), n)]) for n in (16, 256))
+        assert np.max(np.abs(small - large)) <= 1e-12 * np.max(np.abs(large))
+
+
+@pytest.mark.skipif(train.blas_threads() is None, reason="no OpenBLAS thread setter in this process")
+class TestFoldBlasThreads:
+    """Every cv fold runs on one BLAS thread; serial cv gives the caller's count back."""
+
+    @staticmethod
+    def recording_train(monkeypatch, tmp_path, fail=False):
+        # each fold writes the count it reads to a file: a pool worker's lists die with it
+        inner = train._train
+
+        def recording(model, dataset, split, config, fingerprint, fold):
+            (tmp_path / f"fold-{fold}-{os.getpid()}").write_text(str(train.blas_threads()))
+            if fail:
+                raise RuntimeError("fold failed")
+            return inner(model, dataset, split, config, fingerprint, fold)
+
+        monkeypatch.setattr(train, "_train", recording)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_fold_reads_one_thread(self, monkeypatch, tmp_path, jobs):
+        self.recording_train(monkeypatch, tmp_path)
+        caller = train.blas_threads(2)
+        train.cross_validate(OXY_SPEC, small_dataset(n_trials=12), k=3,
+                             config=TrainConfig(epochs=1, batch_size=8), jobs=jobs)
+        reads = sorted(p.name.split("-")[1] + ":" + p.read_text() for p in tmp_path.iterdir())
+        assert reads == ["0:1", "1:1", "2:1"]
+        pids = {p.name.split("-")[2] for p in tmp_path.iterdir()}
+        assert (str(os.getpid()) in pids) == (jobs == 1)
+        assert train.blas_threads() == caller
+
+    def test_serial_cv_restores_the_count_when_a_fold_raises(self, monkeypatch, tmp_path):
+        self.recording_train(monkeypatch, tmp_path, fail=True)
+        caller = train.blas_threads(2)
+        with pytest.raises(RuntimeError, match="fold failed"):
+            train.cross_validate(OXY_SPEC, small_dataset(n_trials=12), k=3,
+                                 config=TrainConfig(epochs=1, batch_size=8), jobs=1)
+        assert [p.read_text() for p in tmp_path.iterdir()] == ["1"]
+        assert train.blas_threads() == caller
+
+    def test_train_keeps_the_callers_count(self, monkeypatch, tmp_path):
+        self.recording_train(monkeypatch, tmp_path)
+        caller = train.blas_threads(2)
+        model = models.build_from_spec(OXY_SPEC, seed=0)
+        train.train(model, small_dataset(n_trials=12), (np.arange(8), np.arange(8, 12)),
+                    TrainConfig(epochs=1, batch_size=4))
+        assert [p.read_text() for p in tmp_path.iterdir()] == [str(caller)]
+        assert train.blas_threads() == caller
