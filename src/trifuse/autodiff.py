@@ -13,6 +13,7 @@ plain arrays they are, for the backward pass.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,12 +101,23 @@ def backward(tape: Tape, loss: Variable) -> None:
             _accumulate(parent, pg)
 
 
+def grad_out(x, shape) -> np.ndarray | None:
+    """Where an op may write operand ``x``'s whole gradient, as ``shape``: the buffer
+    of a Variable that has one and no gradient yet, else None. An op must not ask
+    for it when ``x`` is also another of its operands, whose gradient would be
+    copied into the same buffer."""
+    if isinstance(x, Variable) and x.buffer is not None and x.grad is None:
+        return x.buffer.reshape(shape)
+    return None
+
+
 def _accumulate(v: Variable, g: np.ndarray) -> None:
     if v.grad is not None:
         v.grad += g
     elif v.buffer is not None:
         v.grad = v.buffer
-        np.copyto(v.grad, g)
+        if not np.may_share_memory(g, v.buffer):  # else g is the buffer, written through grad_out
+            np.copyto(v.grad, g)
     else:
         v.grad = np.array(g, dtype=np.float64, copy=True)
 
@@ -239,8 +251,10 @@ def contract(a, b, axis: int = 1):
         if needs_grad(a):  # g's trailing axes are b's axes 1 onward
             ga = np.moveaxis(np.tensordot(g, bv, axes=(list(range(len(free), g.ndim)), list(range(1, bv.ndim)))),
                              -1, axis)
-        if needs_grad(b):  # already in b's layout
-            gb = np.tensordot(av, g, axes=(free, list(range(len(free)))))
+        if needs_grad(b):  # [contracted axis, free axes] @ [free axes, b's axes 1 onward]
+            n_free, rest = math.prod(av.shape[ax] for ax in free), math.prod(bv.shape[1:])
+            gb = np.matmul(np.moveaxis(av, axis, 0).reshape(bv.shape[0], n_free), g.reshape(n_free, rest),
+                           out=None if b is a else grad_out(b, (bv.shape[0], rest))).reshape(bv.shape)
         return ga, gb
 
     return record("contract", np.tensordot(av, bv, axes=([axis], [0])), (a, b), backward_fn)

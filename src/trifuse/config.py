@@ -75,8 +75,9 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def fingerprint(self) -> dict:
-        """Everything needed to reproduce the run, embedded in every report."""
-        return {**{k: v for k, v in asdict(self).items() if k != "out"}, "version": __version__}
+        """Everything needed to reproduce the run, embedded in every report: not where it
+        writes, nor ``jobs``, which cannot change a result."""
+        return {**{k: v for k, v in asdict(self).items() if k not in ("out", "jobs")}, "version": __version__}
 
 
 def _validate_model(model: dict, profile: str) -> dict:

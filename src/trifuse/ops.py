@@ -70,7 +70,10 @@ def _conv_grads(x, w, cols: np.ndarray, g2: np.ndarray, stride: int, padding: in
     """``(grad_x, grad_w)`` of a conv from ``g2``, the output gradient as
     ``[O, B*T_out]``; grad_x scatters the window gradients back (col2im)."""
     xv, wv = value_of(x), value_of(w)
-    grad_w = (g2 @ cols.T).reshape(wv.shape) if needs_grad(w) else None
+    grad_w = None
+    if needs_grad(w):  # written straight into w's gradient buffer where it has one
+        out = None if w is x else ad.grad_out(w, (wv.shape[0], -1))
+        grad_w = np.matmul(g2, cols.T, out=out).reshape(wv.shape)
     grad_x = None
     if needs_grad(x):
         out_ch, in_ch, filt = wv.shape

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -78,28 +79,30 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, named: di
     if not params.shape == grads.shape == state.m.shape == state.v.shape == (sum(sizes),):
         raise ValueError("adam_step needs flat parameters, gradients and moments as long as the named arrays together")
     t = state.step + 1
-    for s in range(0, grads.size, ADAM_CHUNK):
-        if not _all_finite(grads[s:s + ADAM_CHUNK]):
-            bad = s + int(np.argmin(np.isfinite(grads[s:s + ADAM_CHUNK])))
-            name = list(named)[int(np.searchsorted(np.cumsum(sizes), bad, side="right"))]
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r} at step {t}")
+    if not _all_finite(grads):  # one pass over the whole gradient; the per-entry walk only to name the culprit
+        bad = int(np.argmin(np.isfinite(grads)))
+        name = list(named)[int(np.searchsorted(np.cumsum(sizes), bad, side="right"))]
+        raise FloatingPointError(f"non-finite gradient for parameter {name!r} at step {t}")
     state.step = t
     lr, beta1, beta2, eps = (getattr(state.config, k) for k in ("lr", "beta1", "beta2", "eps"))
+    # the bias corrections folded into the step size and eps (Kingma & Ba, 2015, sec. 2):
+    # lr * m_hat / (sqrt(v_hat) + eps) = step * m / (sqrt(v) + eps_hat)
+    c2 = np.sqrt(1.0 - beta2**t)
+    step, eps_hat = lr * c2 / (1.0 - beta1**t), eps * c2
     for s in range(0, params.size, ADAM_CHUNK):
         p1, g1, m, v = (arr[s:s + ADAM_CHUNK] for arr in (params, grads, state.m, state.v))
         a, b = state.scratch[0, :p1.size], state.scratch[1, :p1.size]
-        # p -= lr * m_hat / (sqrt(v_hat) + eps), one ufunc at a time through the scratch rows
+        # one ufunc at a time through the scratch rows
         m *= beta1
         m += np.multiply(g1, 1.0 - beta1, out=a)
         v *= beta2
         np.multiply(g1, 1.0 - beta2, out=a)
         v += np.multiply(a, g1, out=a)
-        np.divide(m, 1.0 - beta1**t, out=a)
-        a *= lr
-        np.divide(v, 1.0 - beta2**t, out=b)
-        np.sqrt(b, out=b)
-        b += eps
-        p1 -= np.divide(a, b, out=a)
+        np.sqrt(v, out=b)
+        b += eps_hat
+        np.divide(m, b, out=a)
+        a *= step
+        p1 -= a
     return state
 
 
@@ -375,8 +378,9 @@ def cross_validate(model_spec: dict, dataset: SegmentDataset, k: int = 5,
     previous = blas_threads()
     try:
         blas_threads(1)
-        if jobs > 1:  # a pool starts all its workers at once: no more than there are folds
-            with ProcessPoolExecutor(max_workers=min(jobs, k), initializer=_init_fold_worker,
+        if jobs > 1:  # a pool starts all its workers at once: no more than there are folds or usable cores
+            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            with ProcessPoolExecutor(max_workers=min(jobs, k, cores), initializer=_init_fold_worker,
                                      initargs=(dataset,)) as pool:
                 results = list(pool.map(_run_fold, tasks))
         else:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trifuse import autodiff as ad
-from trifuse import ops
+from trifuse import data, models, ops, train
 from trifuse.fusion import FusionSpec, fuse, init_fusion_params
 
 
@@ -72,6 +72,84 @@ def test_backward_deterministic_bitwise():
         return a.grad.tobytes(), b.grad.tobytes()
 
     assert grads() == grads()
+
+
+# constant operands of the gradient-buffer cases
+X = np.random.default_rng(7).normal(size=(4, 6))
+X3 = np.random.default_rng(8).normal(size=(2, 3, 8))
+
+
+def _block(x, w):
+    """One extractor block with unit scale and zero shift; its loss reaches ``w``."""
+    out_ch = w.shape[0]
+    return ops.conv_bn_relu(x, w, np.zeros(out_ch), np.ones(out_ch), np.zeros(out_ch), ops.BatchNormState.fresh(out_ch))
+
+
+class TestGradientBuffer:
+    """A Variable's ``buffer`` receives its gradient; conv weights and ``contract``'s
+    second operand have it written there by the op's GEMM (``ad.grad_out``). Either
+    way the bytes are those of the allocating path."""
+
+    @staticmethod
+    def _grads(build, values, buffered: bool) -> list[np.ndarray]:
+        tape = ad.Tape()
+        vs = [tape.variable(v) for v in values]
+        if buffered:  # poisoned: an entry nothing writes would show as NaN
+            for v in vs:
+                v.buffer = np.full_like(v.value, np.nan)
+        ad.backward(tape, build(*vs))
+        assert all((v.grad is v.buffer) == buffered for v in vs)
+        return [v.grad for v in vs]
+
+    CASES = {
+        # one weight feeding two nodes: the later node writes the buffer, the earlier adds to it
+        "contract-two-nodes": (lambda w: ad.sum_all(ad.mul(ad.contract(X[:, :3], w), ad.contract(X[:, 3:], w))),
+                               [(3, 4)]),
+        "conv-two-nodes": (lambda w: ad.add(ad.sum_all(_block(X3, w)), ad.sum_all(ad.mul(_block(X3[::-1], w), 2.0))),
+                           [(4, 3, 3)]),
+        # one Variable as both operands: neither gradient may land in the buffer before the other is added
+        "contract-both-operands": (lambda a: ad.sum_all(ad.mul(ad.contract(a, a), X[:, :4])), [(4, 4)]),
+        "conv-both-operands": (lambda w: ad.sum_all(_block(w, w)), [(3, 3, 3)]),
+        "contract-and-mul": (lambda a, b: ad.sum_all(ad.mul(ad.contract(a, b), ad.add(a, b))), [(4, 4), (4, 4)]),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_buffered_gradient_has_the_allocated_bytes(self, name):
+        build, shapes = self.CASES[name]
+        values = _operands(shapes)
+        buffered, allocated = (self._grads(build, values, b) for b in (True, False))
+        for got, want in zip(buffered, allocated):
+            assert np.all(np.isfinite(got)) and got.tobytes() == want.tobytes()
+
+    def test_grad_out_only_while_the_gradient_is_unset(self):
+        tape = ad.Tape()
+        v = tape.variable(np.ones((2, 3)))
+        assert ad.grad_out(v, (6,)) is None and ad.grad_out(np.ones(6), (6,)) is None
+        v.buffer = np.zeros((2, 3))
+        out = ad.grad_out(v, (3, 2))
+        assert out.shape == (3, 2) and np.shares_memory(out, v.buffer)
+        v.grad = v.buffer
+        assert ad.grad_out(v, (3, 2)) is None
+
+    def test_a_full_step_writes_nearly_every_entry_in_place(self, monkeypatch):
+        accumulate, entries = ad._accumulate, {"in place": 0, "copied": 0}
+
+        def counting(v, g):
+            if v.buffer is not None and v.grad is None:
+                entries["in place" if np.may_share_memory(g, v.buffer) else "copied"] += v.buffer.size
+            accumulate(v, g)
+
+        monkeypatch.setattr(ad, "_accumulate", counting)
+        ds = data.synth_dataset(data.SynthSpec("interaction", n_trials=4, noise=0.1), seed=0)
+        spec = {"type": "fused", "profile": "full",
+                "fusion": {"kind": "PF", "order": 3, "rank": 16, "symmetric": True, "output_dim": 128}}
+        model = models.build_from_spec(spec, seed=0)
+        train.train(model, ds, (np.arange(4), np.arange(0)), train.TrainConfig(epochs=1, batch_size=4))
+        total = sum(p.size for p in model.params.values())
+        written = total - 1836  # the conv biases get no gradient
+        assert entries["in place"] + entries["copied"] == written
+        # copied: the batch-norm scales and shifts and the head bias
+        assert entries["in place"] > 0.997 * written, entries
 
 
 def test_mixed_tapes_rejected():

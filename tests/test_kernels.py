@@ -12,7 +12,9 @@ maps it, with the same checks and errors), and
 ``models.build_from_spec`` draws every model by walking ``param_shapes``. Each is
 held here to the straightforward formula it replaced: bit-identical where the
 arithmetic is unchanged, within 1e-12 relative where only the summation order
-moved.
+moved. Adam's folded bias corrections change the rounding of each update, so
+the textbook update is held within ``rounding_bound`` and per-dict copies of
+the folded update byte for byte.
 """
 
 import copy
@@ -833,11 +835,14 @@ class TestConvBnRelu:
 
 
 # ---------------------------------------------------------------------------
-# Adam, over one flat arena per training run. The per-dict formulas it replaced
-# are copied here: adam_reference (whole arrays, temporaries), old_adam_step
-# (whole arrays through scratch rows), and dict_adam_step with dict_train_steps
-# (the per-array chunked step and the epoch loop that called it, verbatim).
-# They keep their moments per parameter name in DictAdamState.
+# Adam, over one flat arena per training run, with its bias corrections folded
+# into the step size and eps. Per-dict copies of the folded update are the
+# byte-for-byte references: folded_adam_reference (whole arrays, temporaries)
+# and dict_adam_step with dict_train_steps (the per-array chunked step and the
+# epoch loop that called it). The textbook formulas the fold replaced,
+# adam_reference (whole arrays, temporaries) and old_adam_step (whole arrays
+# through scratch rows), are held within rounding_bound. All keep their moments
+# per parameter name in DictAdamState.
 
 @dataclass
 class DictAdamState:
@@ -879,6 +884,39 @@ def adam_reference(params, grads, state):
         p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
+def folded_adam_reference(params, grads, state):
+    state.step += 1
+    t = state.step
+    c2 = np.sqrt(1.0 - state.beta2**t)
+    step, eps_hat = state.lr * c2 / (1.0 - state.beta1**t), state.eps * c2
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= m / (np.sqrt(v) + eps_hat) * step
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def rounding_bound(before: np.ndarray, after: np.ndarray) -> float:
+    """How far one folded update may land from the textbook one, flat parameters
+    ``before`` and ``after`` the textbook step. The moments are bit-identical, so
+    only the update a differs: the textbook chain rounds it up to 5.5 unit
+    roundoffs (u = EPS/2) from the exact value, the folded one up to 8 with its
+    scalars, so 14u = 7 EPS of |a| at most (8 taken); p - a may then round to
+    the neighbouring float, one ulp of p. Nothing feeds back, so steps add up."""
+    return float(8 * EPS * np.abs(after - before).max() + np.spacing(max(np.abs(before).max(), np.abs(after).max())))
+
+
 def old_adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState) -> AdamState:
     """One bias-corrected Adam update, in place on the parameter arrays."""
     state.step += 1
@@ -918,6 +956,8 @@ def dict_adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], 
     must be C-contiguous: each is updated through a flat view of itself."""
     state.step += 1
     t = state.step
+    c2 = np.sqrt(1.0 - state.beta2**t)
+    step, eps_hat = state.lr * c2 / (1.0 - state.beta1**t), state.eps * c2
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -936,18 +976,17 @@ def dict_adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], 
         for s in range(0, p.size, ADAM_CHUNK):
             p1, g1, m, v = (arr[s:s + ADAM_CHUNK] for arr in (flat_p, flat_g, flat_m, flat_v))
             a, b = state.scratch[0, :p1.size], state.scratch[1, :p1.size]
-            # p -= lr * m_hat / (sqrt(v_hat) + eps), one ufunc at a time through the scratch rows
+            # p -= step * m / (sqrt(v) + eps_hat), one ufunc at a time through the scratch rows
             m *= state.beta1
             m += np.multiply(g1, 1.0 - state.beta1, out=a)
             v *= state.beta2
             np.multiply(g1, 1.0 - state.beta2, out=a)
             v += np.multiply(a, g1, out=a)
-            np.divide(m, 1.0 - state.beta1**t, out=a)
-            a *= state.lr
-            np.divide(v, 1.0 - state.beta2**t, out=b)
-            np.sqrt(b, out=b)
-            b += state.eps
-            p1 -= np.divide(a, b, out=a)
+            np.sqrt(v, out=b)
+            b += eps_hat
+            np.divide(m, b, out=a)
+            a *= step
+            p1 -= a
     return state
 
 
@@ -997,21 +1036,51 @@ PF3_FULL = {"type": "fused", "profile": "full",
 TF_DESK = {"type": "fused", "profile": "desk", "fusion": {"kind": "TF", "rank": 16, "output_dim": 16}}
 
 
+def assert_folded_and_textbook_updates(params, steps, draw_grads, textbook_step):
+    """``adam_step`` over ``steps`` steps on the flattened ``params``: byte for byte
+    the per-dict folded update; within rounding_bound of ``textbook_step``, with
+    bit-identical moments."""
+    folded, textbook = copy.deepcopy(params), copy.deepcopy(params)
+    flat, named = flatten(params)
+    state = zero_adam(flat.size, lr=0.01)
+    folded_state, textbook_state = DictAdamState(lr=0.01), DictAdamState(lr=0.01)
+    bound = 0.0
+    for _ in range(steps):
+        grads = draw_grads()
+        adam_step(flat, dense_grads(grads, params), state, named)
+        folded_adam_reference(folded, grads, folded_state)
+        before = flatten(textbook)[0]
+        textbook_step(textbook, grads, textbook_state)
+        bound += rounding_bound(before, flatten(textbook)[0])
+    assert state.step == folded_state.step == textbook_state.step == steps
+    for ref in (folded_state, textbook_state):
+        assert np.array_equal(state.m, flatten(ref.m)[0]) and np.array_equal(state.v, flatten(ref.v)[0])
+    assert np.array_equal(flat, flatten(folded)[0])
+    drift = np.abs(flat - flatten(textbook)[0]).max()
+    assert drift <= bound, (drift, bound)
+
+
 class TestAdam:
     def test_bit_identical_over_steps(self):
         rng = np.random.default_rng(5)
         shapes = {"conv.w": (6, 3, 5), "bias": (6,), "scalar": (), "head.w": (4, 2), "frozen": (3,)}
-        ref_params = {k: rng.normal(size=s) for k, s in shapes.items()}
-        flat, named = flatten(ref_params)
-        state, ref_state = zero_adam(flat.size, lr=0.01), DictAdamState(lr=0.01)
-        for _ in range(5):
-            grads = {k: rng.normal(size=s) for k, s in shapes.items() if k != "frozen"}
-            adam_step(flat, dense_grads(grads, ref_params), state, named)
-            adam_reference(ref_params, grads, ref_state)
-        assert state.step == ref_state.step == 5
-        for name, ref in (("params", ref_params), ("m", ref_state.m), ("v", ref_state.v)):
-            got = {"params": flat, "m": state.m, "v": state.v}[name]
-            assert np.array_equal(got, flatten(ref)[0]), name
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        assert_folded_and_textbook_updates(
+            params, 5, lambda: {k: rng.normal(size=s) for k, s in shapes.items() if k != "frozen"}, adam_reference)
+
+    def test_full_model_step_makes_no_arena_sized_temporary(self):
+        # the arena is 11 MiB; even a boolean mask of it would be 1.4 MiB
+        import tracemalloc
+
+        flat, named = flatten(models.build_from_spec(PF3_FULL, seed=1).params)
+        grads, state = np.random.default_rng(2).normal(size=flat.size), zero_adam(flat.size)
+        tracemalloc.start()
+        try:
+            adam_step(flat, grads, state, named)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.step == 1 and peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_non_finite_gradient_raises(self):
         flat, named = flatten({"a": np.ones(4), "b": np.ones(2)})
@@ -1020,18 +1089,12 @@ class TestAdam:
 
     def test_chunked_bit_identical_to_whole_array_update_on_full_model(self):
         # 1,429,534 entries in 76 arrays, the largest far over one chunk
-        ref_params = models.build_from_spec(PF3_FULL, seed=3).params
-        flat, named = flatten(ref_params)
-        assert max(p.size for p in named.values()) > 4 * train.ADAM_CHUNK
+        params = models.build_from_spec(PF3_FULL, seed=3).params
+        assert max(p.size for p in params.values()) > 4 * train.ADAM_CHUNK
         rng = np.random.default_rng(6)
-        state, ref_state = zero_adam(flat.size, lr=0.01), DictAdamState(lr=0.01)
-        for _ in range(5):
-            grads = {k: rng.normal(size=p.shape) for k, p in ref_params.items() if k != "eeg.bn2.beta"}
-            adam_step(flat, dense_grads(grads, ref_params), state, named)
-            old_adam_step(ref_params, grads, ref_state)
-        assert np.array_equal(flat, flatten(ref_params)[0])
-        assert np.array_equal(state.m, flatten(ref_state.m)[0])
-        assert np.array_equal(state.v, flatten(ref_state.v)[0])
+        assert_folded_and_textbook_updates(
+            params, 5, lambda: {k: rng.normal(size=p.shape) for k, p in params.items() if k != "eeg.bn2.beta"},
+            old_adam_step)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_in_a_later_chunk_raises(self, bad):

@@ -61,7 +61,7 @@ def old_fingerprint(self) -> dict:
     """Everything needed to reproduce the run, embedded in every report."""
     return {
         "task": self.task, "profile": self.profile, "seed": self.seed,
-        "jobs": self.jobs, "k": self.k,
+        "k": self.k,
         "data": self.data, "model": self.model, "train": asdict(self.train),
         "version": __version__,
     }
