@@ -28,7 +28,7 @@ print(f"{len(trials)} trials -> {len(ds)} segments "
       f"(33 windows each, offsets {ds.offsets.min()}..{ds.offsets.max()})")
 
 plan = data.make_folds(ds, k=5, seed=0)
-fold_sizes = np.bincount([plan.fold_of(t) for t in ds.trial_ids], minlength=5)
+fold_sizes = np.bincount(plan[ds.trial_of], minlength=5)
 print("segments per fold:", fold_sizes.tolist(), "(all 33 windows of a trial stay together)")
 print()
 

@@ -105,7 +105,7 @@ def _add_train(p: argparse.ArgumentParser):
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--trial-vote", action="store_true", default=None,
-                   help="also report majority vote over each trial's segments")
+                   help="also report majority vote over each trial's segments; a tie votes class 0")
 
 
 def _model_override(args) -> dict | None:
@@ -228,8 +228,7 @@ def cmd_segment(args) -> int:
     ds = data.load_manifest(cfg.data["manifest"])
     with _Atomic(out) as tmp:
         data.save_segments_manifest(ds, tmp)
-    n_trials = len(set(ds.trial_ids.tolist()))
-    print(f"segmented {n_trials} trials into {len(ds)} windows -> {out}")
+    print(f"segmented {len(ds.trial_first)} trials into {len(ds)} windows -> {out}")
     return EXIT_OK
 
 

@@ -191,7 +191,6 @@ def load_dataset(cfg: RunConfig) -> SegmentDataset:
     if cfg.data.get("shuffle_labels"):
         # permute the trials' labels, then give each segment its trial's new label
         rng = np.random.default_rng(int(cfg.data.get("seed", cfg.seed)) + 1)
-        _, first, trial_of = np.unique(ds.trial_ids, return_index=True, return_inverse=True)
-        ds = SegmentDataset(ds.eeg, ds.oxy, ds.deoxy, rng.permutation(ds.labels[first])[trial_of],
+        ds = SegmentDataset(ds.eeg, ds.oxy, ds.deoxy, rng.permutation(ds.labels[ds.trial_first])[ds.trial_of],
                             ds.trial_ids, ds.offsets, ds.subjects, ds.planted)
     return ds

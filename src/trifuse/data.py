@@ -1,5 +1,5 @@
 """Segment-level dataset handling: sliding-window segmentation of tri-modal
-trial recordings, synthetic dataset generators, leakage-safe fold plans, and
+trial recordings, synthetic dataset generators, trial-disjoint folds, and
 the manifest + binary tensor file format.
 
 Converter contract for real recordings: EEG arrives re-referenced, filtered
@@ -74,7 +74,9 @@ class TrialRecording:
 class SegmentDataset:
     """Column-wise store of segments; immutable after construction. Loaded
     from a segments manifest, its modality columns are read-only maps of the
-    manifest's files, and a gather such as ``eeg[idx]`` is a fresh copy."""
+    manifest's files, and a gather such as ``eeg[idx]`` is a fresh copy.
+    Building it sets ``trial_first`` and ``trial_of``, the one segment-to-trial
+    map that folds, trial votes and label shuffles read."""
 
     eeg: np.ndarray  # [n, 30, 600]
     oxy: np.ndarray  # [n, 36, 30]
@@ -92,29 +94,15 @@ class SegmentDataset:
                 raise DataError(f"dataset column {name} has length {len(getattr(self, name))}, expected {n}")
         if self.planted is not None and len(self.planted) != n:
             raise DataError("planted amplitudes length mismatch")
-        # folds, trial votes and shuffled labels take a trial's label and subject from any one segment
-        order = np.argsort(self.trial_ids, kind="stable")
-        tid, lab, subj = (np.asarray(col)[order] for col in (self.trial_ids, self.labels, self.subjects))
-        bad = np.flatnonzero((tid[1:] == tid[:-1]) & ((lab[1:] != lab[:-1]) | (subj[1:] != subj[:-1])))
-        if len(bad):
-            raise DataError(f"trial {tid[bad[0]]} has segments of more than one label or subject")
+        # each trial's first row, in trial-id order, and each row's trial number
+        ids, self.trial_first, self.trial_of = np.unique(self.trial_ids, return_index=True, return_inverse=True)
+        first = self.trial_first[self.trial_of]
+        bad = (self.labels != self.labels[first]) | (self.subjects != self.subjects[first])
+        if bad.any():
+            raise DataError(f"trial {ids[self.trial_of[bad].min()]} has segments of more than one label or subject")
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def trials(self) -> list[tuple[int, str, int]]:
-        """(trial_id, subject, label) per distinct trial, in id order."""
-        seen: dict[int, tuple[int, str, int]] = {}
-        for tid, subj, lab in zip(self.trial_ids, self.subjects, self.labels):
-            tid = int(tid)
-            if tid not in seen:
-                seen[tid] = (tid, str(subj), int(lab))
-        return [seen[t] for t in sorted(seen)]
-
-    def modality(self, name: str) -> np.ndarray:
-        if name not in MODALITIES:
-            raise DataError(f"unknown modality {name!r}")
-        return getattr(self, name)
 
 
 # ---------------------------------------------------------------------------
@@ -274,51 +262,33 @@ def synth_dataset(spec: SynthSpec, seed: int) -> SegmentDataset:
 
 
 # ---------------------------------------------------------------------------
-# fold plans
+# folds
 
-@dataclass
-class FoldPlan:
-    k: int
-    assignment: dict[int, int]  # trial_id -> fold
-
-    def fold_of(self, trial_id: int) -> int:
-        return self.assignment[int(trial_id)]
-
-
-def make_folds(dataset: SegmentDataset, k: int = 5, seed: int = 0) -> FoldPlan:
-    """Trial-level stratified partition; all segments of a trial share a fold."""
-    trials = dataset.trials()
-    per_class: dict[int, int] = {}
-    for _, _, lab in trials:
-        per_class[lab] = per_class.get(lab, 0) + 1
-    for lab, count in sorted(per_class.items()):
+def make_folds(dataset: SegmentDataset, k: int = 5, seed: int = 0) -> np.ndarray:
+    """Each trial's fold, in trial-id order: ``folds[dataset.trial_of]`` is each
+    segment's. Stratified by subject and label; all segments of a trial share a fold."""
+    labels, subjects = dataset.labels[dataset.trial_first], dataset.subjects[dataset.trial_first]
+    for lab, count in zip(*np.unique(labels, return_counts=True)):
         if count < k:
             raise DataError(f"class {lab} has only {count} trials, need at least {k} for {k} folds")
 
     rng = np.random.default_rng(seed)
-    groups: dict[tuple[str, int], list[int]] = {}
-    for tid, subj, lab in trials:
-        groups.setdefault((subj, lab), []).append(tid)
-
-    assignment: dict[int, int] = {}
+    order = np.lexsort((labels, subjects))  # by (subject, label), then trial id
+    labels, subjects = labels[order], subjects[order]
+    starts = np.flatnonzero((labels[1:] != labels[:-1]) | (subjects[1:] != subjects[:-1])) + 1
+    folds = np.empty(len(order), dtype=np.int64)
     loads = np.zeros(k, dtype=np.int64)
-    for key in sorted(groups):
-        tids = sorted(groups[key])
-        rng.shuffle(tids)
-        start = int(np.argmin(loads))
-        for j, tid in enumerate(tids):
-            fold = (start + j) % k
-            assignment[tid] = fold
-            loads[fold] += 1
-    return FoldPlan(k=k, assignment=assignment)
+    for group in np.split(order, starts):
+        rng.shuffle(group)
+        folds[group] = (np.argmin(loads) + np.arange(len(group))) % k
+        loads += np.bincount(folds[group], minlength=k)
+    return folds
 
 
-def fold_indices(dataset: SegmentDataset, plan: FoldPlan, fold: int) -> tuple[np.ndarray, np.ndarray]:
+def fold_indices(dataset: SegmentDataset, folds: np.ndarray, fold: int) -> tuple[np.ndarray, np.ndarray]:
     """(train segment indices, test segment indices) for one held-out fold."""
-    fold_of = np.array([plan.fold_of(t) for t in dataset.trial_ids])
-    test = np.nonzero(fold_of == fold)[0]
-    train = np.nonzero(fold_of != fold)[0]
-    return train, test
+    held = folds[dataset.trial_of] == fold
+    return np.flatnonzero(~held), np.flatnonzero(held)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +302,7 @@ def save_segments_manifest(dataset: SegmentDataset, outdir) -> str:
     """Write a segment dataset as stacked per-modality tensors plus metadata."""
     os.makedirs(outdir, exist_ok=True)
     for name, fname in SEGMENT_ARRAYS.items():
-        save_tensor(os.path.join(outdir, fname), dataset.modality(name))
+        save_tensor(os.path.join(outdir, fname), getattr(dataset, name))
     doc = {
         "kind": "segments",
         "version": 1,

@@ -215,7 +215,9 @@ def _breakdown(correct: np.ndarray, offsets: np.ndarray, subjects: np.ndarray) -
 
 def evaluate(model: ModelGraph, dataset: SegmentDataset, idx: np.ndarray,
              eval_batch: int = TrainConfig.batch_size, trial_vote: bool = False) -> dict:
-    """Segment-level accuracy, split by window offset and by subject."""
+    """Segment-level accuracy, split by window offset and by subject. With
+    ``trial_vote``, also the accuracy of each trial's majority vote over its
+    segments in ``idx``; a tied vote is class 0, argmax's first index."""
     idx = np.asarray(idx)
     preds = predict_labels(model, dataset, idx, eval_batch)
     labels = dataset.labels[idx]
@@ -224,12 +226,10 @@ def evaluate(model: ModelGraph, dataset: SegmentDataset, idx: np.ndarray,
     out = {"accuracy": float(correct.mean()), "per_offset": per_offset, "per_subject": per_subject,
            "correct": correct}
     if trial_vote:
-        trial_ids, trial_ok = dataset.trial_ids[idx], []
-        for tid in np.unique(trial_ids):
-            rows = trial_ids == tid
-            votes = np.bincount(preds[rows], minlength=2)
-            trial_ok.append(int(np.argmax(votes)) == int(labels[rows][0]))
-        out["trial_accuracy"] = float(np.mean(trial_ok))
+        trials, trial_of = np.unique(dataset.trial_of[idx], return_inverse=True)
+        votes = np.zeros((len(trials), 2), dtype=np.int64)
+        np.add.at(votes, (trial_of, preds), 1)
+        out["trial_accuracy"] = float(np.mean(votes.argmax(axis=1) == dataset.labels[dataset.trial_first[trials]]))
     return out
 
 
@@ -248,7 +248,7 @@ def _train(model: ModelGraph, dataset: SegmentDataset, split, config: TrainConfi
            fingerprint: dict | None, fold: int | None) -> tuple[TrainReport, np.ndarray]:
     """``train``, also returning the per-segment correct mask of the test side."""
     train_idx, test_idx = (np.asarray(s) for s in split)
-    if len(np.intersect1d(dataset.trial_ids[train_idx], dataset.trial_ids[test_idx])) > 0:
+    if len(np.intersect1d(dataset.trial_of[train_idx], dataset.trial_of[test_idx])) > 0:
         raise ValueError("train and test splits share trials")
     rng = np.random.default_rng(config.seed)
     # one arena per run: the parameters become views of one flat array, which Adam sweeps whole
@@ -368,8 +368,7 @@ def cross_validate(model_spec: dict, dataset: SegmentDataset, k: int = 5,
     tasks = []
     for fold in range(k):
         train_idx, test_idx = fold_indices(dataset, plan, fold)
-        fold_set = set(plan.fold_of(t) for t in dataset.trial_ids[test_idx])
-        assert fold_set == {fold} and len(np.intersect1d(train_idx, test_idx)) == 0
+        assert (plan[dataset.trial_of[test_idx]] == fold).all() and len(np.intersect1d(train_idx, test_idx)) == 0
         tasks.append((model_spec, task_dataset, train_idx, test_idx, config, fold))
 
     # every fold runs on one BLAS thread, in a worker or here, so the parallelism is the

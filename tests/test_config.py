@@ -107,7 +107,8 @@ class TestShuffleLabels:
         for tid in np.unique(shuffled.trial_ids):
             assert len(set(shuffled.labels[shuffled.trial_ids == tid].tolist())) == 1
         assert np.array_equal(shuffled.trial_ids, plain.trial_ids)
-        assert sorted(t[2] for t in shuffled.trials()) == sorted(t[2] for t in plain.trials())
+        assert np.array_equal(shuffled.trial_first, plain.trial_first)
+        assert sorted(shuffled.labels[shuffled.trial_first]) == sorted(plain.labels[plain.trial_first])
         assert not np.array_equal(shuffled.labels, plain.labels)
         data.make_folds(shuffled, k=3)
 

@@ -4,6 +4,7 @@ import copy
 import gc
 import json
 import os
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -244,7 +245,7 @@ class TestSynth:
         ds = data.synth_dataset(data.SynthSpec("additive", n_trials=60, noise=0.0), seed=4)
         half = 40
         for modality in ("eeg", "oxy", "deoxy"):
-            pooled = ds.modality(modality).mean(axis=2)  # [n, channels]
+            pooled = getattr(ds, modality).mean(axis=2)  # [n, channels]
             x_train, y_train = pooled[:half], 2.0 * ds.labels[:half] - 1.0
             coef, *_ = np.linalg.lstsq(x_train, y_train, rcond=None)
             preds = (pooled[half:] @ coef > 0).astype(np.int64)
@@ -271,7 +272,7 @@ class TestFolds:
     def test_sixty_trials_split_evenly(self):
         ds = tiny_dataset(n_trials=60, segments_per_trial=33)
         plan = data.make_folds(ds, k=5, seed=0)
-        sizes = np.bincount([plan.fold_of(t) for t, _, _ in ds.trials()], minlength=5)
+        sizes = np.bincount(plan, minlength=5)
         assert np.array_equal(sizes, [12] * 5)
         for fold in range(5):
             _, test_idx = data.fold_indices(ds, plan, fold)
@@ -295,10 +296,9 @@ class TestFolds:
 
     def test_same_seed_identical_different_seeds_differ(self):
         ds = tiny_dataset(n_trials=40)
-        base = data.make_folds(ds, k=5, seed=7).assignment
-        assert data.make_folds(ds, k=5, seed=7).assignment == base
-        distinct = {json.dumps(data.make_folds(ds, k=5, seed=s).assignment, sort_keys=True)
-                    for s in range(100)}
+        base = data.make_folds(ds, k=5, seed=7).tolist()
+        assert data.make_folds(ds, k=5, seed=7).tolist() == base
+        distinct = {json.dumps(data.make_folds(ds, k=5, seed=s).tolist()) for s in range(100)}
         assert len(distinct) >= 95
 
     def test_too_few_trials_per_class(self):
@@ -309,11 +309,112 @@ class TestFolds:
     def test_stratified_within_subject(self):
         ds = tiny_dataset(n_trials=40, n_subjects=4)
         plan = data.make_folds(ds, k=5, seed=3)
-        trials = ds.trials()
+        trial_labels = ds.labels[ds.trial_first]
         for fold in range(5):
-            fold_trials = [t for t in trials if plan.fold_of(t[0]) == fold]
-            labels = [lab for _, _, lab in fold_trials]
-            assert abs(labels.count(0) - labels.count(1)) <= 2
+            counts = np.bincount(trial_labels[plan == fold], minlength=2)
+            assert abs(counts[0] - counts[1]) <= 2
+
+
+# The dict-based fold plan that make_folds and fold_indices replaced, kept
+# verbatim as the reference they must match trial for trial.
+
+@dataclass
+class FoldPlan:
+    k: int
+    assignment: dict[int, int]  # trial_id -> fold
+
+    def fold_of(self, trial_id: int) -> int:
+        return self.assignment[int(trial_id)]
+
+
+def reference_trials(self) -> list[tuple[int, str, int]]:
+    """(trial_id, subject, label) per distinct trial, in id order."""
+    seen: dict[int, tuple[int, str, int]] = {}
+    for tid, subj, lab in zip(self.trial_ids, self.subjects, self.labels):
+        tid = int(tid)
+        if tid not in seen:
+            seen[tid] = (tid, str(subj), int(lab))
+    return [seen[t] for t in sorted(seen)]
+
+
+def reference_make_folds(dataset, k: int = 5, seed: int = 0) -> FoldPlan:
+    """Trial-level stratified partition; all segments of a trial share a fold."""
+    trials = reference_trials(dataset)
+    per_class: dict[int, int] = {}
+    for _, _, lab in trials:
+        per_class[lab] = per_class.get(lab, 0) + 1
+    for lab, count in sorted(per_class.items()):
+        if count < k:
+            raise data.DataError(f"class {lab} has only {count} trials, need at least {k} for {k} folds")
+
+    rng = np.random.default_rng(seed)
+    groups: dict[tuple[str, int], list[int]] = {}
+    for tid, subj, lab in trials:
+        groups.setdefault((subj, lab), []).append(tid)
+
+    assignment: dict[int, int] = {}
+    loads = np.zeros(k, dtype=np.int64)
+    for key in sorted(groups):
+        tids = sorted(groups[key])
+        rng.shuffle(tids)
+        start = int(np.argmin(loads))
+        for j, tid in enumerate(tids):
+            fold = (start + j) % k
+            assignment[tid] = fold
+            loads[fold] += 1
+    return FoldPlan(k=k, assignment=assignment)
+
+
+def reference_fold_indices(dataset, plan: FoldPlan, fold: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train segment indices, test segment indices) for one held-out fold."""
+    fold_of = np.array([plan.fold_of(t) for t in dataset.trial_ids])
+    test = np.nonzero(fold_of == fold)[0]
+    train = np.nonzero(fold_of != fold)[0]
+    return train, test
+
+
+def grid_dataset(n_trials, segments_per_trial, n_subjects, ids, shuffled, seed):
+    """A fold-logic dataset with random labels; ``ids`` names the trial ids'
+    scheme and ``shuffled`` interleaves the trials' rows."""
+    rng = np.random.default_rng(seed)
+    tids = {"range": np.arange(n_trials), "times7": np.arange(n_trials) * 7 % 1000,
+            "descending": 10**12 - np.arange(n_trials) * 7 % 1000}[ids]
+    ds = tiny_dataset(n_trials, segments_per_trial, n_subjects, seed)
+    cols = {f.name: getattr(ds, f.name) for f in fields(ds)}
+    cols["labels"] = np.repeat(rng.integers(0, 2, n_trials), segments_per_trial)
+    cols["trial_ids"] = np.repeat(tids, segments_per_trial)
+    rows = rng.permutation(len(ds)) if shuffled else np.arange(len(ds))
+    return data.SegmentDataset(**{k: None if v is None else v[rows] for k, v in cols.items()})
+
+
+class TestFoldsMatchTheDictPlan:
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("segments_per_trial", [1, 4])
+    @pytest.mark.parametrize("n_subjects", [1, 3, 5])
+    @pytest.mark.parametrize("ids", ["range", "times7", "descending"])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_same_folds_and_indices(self, k, segments_per_trial, n_subjects, ids, shuffled):
+        ds = grid_dataset(150, segments_per_trial, n_subjects, ids, shuffled, seed=k + n_subjects)
+        reference = reference_make_folds(ds, k=k, seed=11)
+        plan = data.make_folds(ds, k=k, seed=11)
+        assert plan.dtype == np.int64
+        assert plan.tolist() == [reference.fold_of(t) for t, _, _ in reference_trials(ds)]
+        for fold in range(k):
+            for got, want in zip(data.fold_indices(ds, plan, fold), reference_fold_indices(ds, reference, fold)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("labels", [[0] * 6 + [1] * 4, [1] * 10, [0] * 2 + [1] * 8])
+    def test_the_class_check_counts_the_classes_present(self, labels):
+        ds = tiny_dataset(n_trials=10)
+        ds = data.SegmentDataset(ds.eeg, ds.oxy, ds.deoxy, np.array(labels), ds.trial_ids, ds.offsets, ds.subjects)
+        try:
+            reference_make_folds(ds, k=5, seed=0)
+        except data.DataError as exc:
+            with pytest.raises(data.DataError, match=f"^{re.escape(str(exc))}$"):
+                data.make_folds(ds, k=5, seed=0)
+        else:
+            reference = reference_make_folds(ds, k=5, seed=0)
+            assert data.make_folds(ds, k=5, seed=0).tolist() == [reference.fold_of(t) for t in range(10)]
 
 
 class TestManifests:
@@ -406,7 +507,10 @@ class TestOneLabelPerTrial:
         cols = self.columns(tiny_dataset(n_trials=6, segments_per_trial=3, n_subjects=2))
         rows = np.random.default_rng(0).permutation(len(cols["labels"]))
         ds = data.SegmentDataset(**{k: None if v is None else v[rows] for k, v in cols.items()})
-        assert len(ds.trials()) == 6
+        assert len(ds.trial_first) == 6
+        assert np.array_equal(ds.trial_ids[ds.trial_first], np.arange(6))
+        first_rows = [np.flatnonzero(ds.trial_ids == t)[0] for t in ds.trial_ids]
+        assert np.array_equal(ds.trial_first[ds.trial_of], first_rows)
 
     def test_segments_manifest_is_refused_naming_the_trial(self, tmp_path):
         ds = data.synth_dataset(data.SynthSpec("additive", n_trials=4, segments_per_trial=2, n_subjects=2), seed=3)
@@ -449,13 +553,13 @@ class TestMappedSegments:
         data.save_segments_manifest(ds, tmp_path)
         back = data.load_manifest(tmp_path)
         for name in ("eeg", "oxy", "deoxy"):
-            col = back.modality(name)
+            col = getattr(back, name)
             assert not col.flags["WRITEABLE"]
             with pytest.raises(ValueError):
                 col[0, 0, 0] = 1.0
             batch = col[np.array([4, 1, 2])]
             assert batch.flags["WRITEABLE"] and batch.flags["ALIGNED"] and batch.flags["C_CONTIGUOUS"]
-            assert batch.tobytes() == ds.modality(name)[[4, 1, 2]].tobytes()
+            assert batch.tobytes() == getattr(ds, name)[[4, 1, 2]].tobytes()
 
     def test_resaving_a_loaded_set_over_itself_changes_no_byte(self, tmp_path):
         data.save_segments_manifest(data.synth_dataset(data.SynthSpec("additive", n_trials=6), seed=6), tmp_path)

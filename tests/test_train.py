@@ -237,7 +237,7 @@ class TestCrossValidation:
         data.save_segments_manifest(small_dataset(n_trials=12, segments_per_trial=2), tmp_path / "data")
         mapped = data.load_manifest(tmp_path / "data")
         assert not mapped.eeg.flags["WRITEABLE"] and not mapped.eeg.flags["ALIGNED"]
-        copied = dataclasses.replace(mapped, **{m: np.array(mapped.modality(m)) for m in ("eeg", "oxy", "deoxy")})
+        copied = dataclasses.replace(mapped, **{m: np.array(getattr(mapped, m)) for m in ("eeg", "oxy", "deoxy")})
         assert copied.eeg.flags["WRITEABLE"] and copied.eeg.flags["ALIGNED"]
         cfg = TrainConfig(epochs=1, batch_size=8, seed=4)
         for name, ds in (("mapped", mapped), ("copied", copied)):
@@ -373,6 +373,58 @@ DESK_EVAL_SPECS = {
     "PF3-sym": PF3_DESK,
     "eeg": {"type": "single", "modality": "eeg", "profile": "desk"},
 }
+
+
+def reference_trial_accuracy(dataset, idx, preds) -> float:
+    """The per-trial vote loop that evaluate's one count replaced, kept verbatim."""
+    labels = dataset.labels[idx]
+    trial_ids, trial_ok = dataset.trial_ids[idx], []
+    for tid in np.unique(trial_ids):
+        rows = trial_ids == tid
+        votes = np.bincount(preds[rows], minlength=2)
+        trial_ok.append(int(np.argmax(votes)) == int(labels[rows][0]))
+    return float(np.mean(trial_ok))
+
+
+class TestTrialVote:
+    @staticmethod
+    def two_segment_trials(seed: int = 0, shuffled: bool = False) -> data.SegmentDataset:
+        ds = data.synth_dataset(data.SynthSpec("additive", n_trials=30, segments_per_trial=2, n_subjects=3), seed=seed)
+        rows = np.random.default_rng(seed).permutation(len(ds)) if shuffled else np.arange(len(ds))
+        return dataclasses.replace(ds, **{f.name: getattr(ds, f.name)[rows] for f in dataclasses.fields(ds)})
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_vote_matches_the_per_trial_loop(self, monkeypatch, seed, shuffled):
+        ds = self.two_segment_trials(seed, shuffled)
+        rng = np.random.default_rng(seed)
+        for idx in (rng.permutation(len(ds)), np.sort(rng.choice(len(ds), 37, replace=False))):
+            preds = rng.integers(0, 2, len(idx))
+            monkeypatch.setattr(train, "predict_labels", lambda *args: preds)
+            got = train.evaluate(None, ds, idx, trial_vote=True)["trial_accuracy"]
+            assert got == reference_trial_accuracy(ds, idx, preds)
+        ties = np.bincount(ds.trial_of[idx], weights=2 * preds - 1, minlength=30) == 0
+        assert ties.any()  # the last idx holds tied trials, and some single-segment ones
+
+    def test_a_tied_trial_votes_class_0(self, monkeypatch):
+        ds = self.two_segment_trials()
+        monkeypatch.setattr(train, "predict_labels", lambda model, dataset, idx, eval_batch: np.arange(len(idx)) % 2)
+        idx = np.arange(22)  # the first 11 trials, each voting once for either class
+        stats = train.evaluate(None, ds, idx, trial_vote=True)
+        assert stats["trial_accuracy"] == np.mean(ds.labels[idx[::2]] == 0) != np.mean(ds.labels[idx[::2]] == 1)
+
+    def test_cv_trial_accuracies_match_the_per_trial_loop(self, monkeypatch):
+        ds, seen = self.two_segment_trials(shuffled=True), []
+        predict = train.predict_labels
+
+        def recording(*args):
+            seen.append((args[2], predict(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(train, "predict_labels", recording)
+        cfg = TrainConfig(epochs=1, batch_size=8, seed=2, trial_vote=True)
+        report = train.cross_validate(OXY_SPEC, ds, k=3, config=cfg)
+        assert report.trial_accuracies == [reference_trial_accuracy(ds, idx, preds) for idx, preds in seen]
 
 
 class TestEvalChunks:
